@@ -5,8 +5,10 @@ equal-degree splitting. Bivariate irreducibility finds one proper factor (or
 proves there is none) by power-series lifting of a squarefree specialization
 and subset recombination; when no usable specialization point exists in the
 base field, the search ascends to an extension where one is guaranteed and
-descends conjugate-orbit products. Outputs are deterministically ordered so
-scans and reports reproduce byte for byte.
+descends conjugate-orbit products. Absolute irreducibility is certified by a
+smooth rational point, with a retest over an extension as the fallback.
+Outputs are deterministically ordered so scans and reports reproduce byte for
+byte.
 """
 
 import itertools
@@ -525,22 +527,24 @@ def _hensel_find_factor(F: BiPoly, x0):
     return None
 
 
+def _fibers(F: BiPoly):
+    """(x0, F(x0, Y)) in elements() order, skipping each x0 where the
+    Y-leading coefficient vanishes, so every fiber keeps degree deg_y."""
+    ctx = F.ctx
+    rows = [list(r.coeffs) for r in F.to_y_view()]
+    lc = rows[-1]
+    for x0 in ctx.elements():
+        if not ctx.is_zero_raw(_ueval(ctx, lc, x0)):
+            yield x0, _ustrip(ctx, [_ueval(ctx, row, x0) for row in rows])
+
+
 def _good_point(F: BiPoly):
     """First x0 with nonvanishing Y-leading coefficient and squarefree
     specialization, or None."""
     ctx = F.ctx
-    rows = [list(r.coeffs) for r in F.to_y_view()]
-    n = len(rows) - 1
-    lc = rows[n]
-    z = ctx.zero_raw
-    for x0 in ctx.elements():
-        if ctx.is_zero_raw(_ueval(ctx, lc, x0)):
-            continue
-        fiber = _ustrip(ctx, [_ueval(ctx, row, x0) for row in rows])
+    for x0, fiber in _fibers(F):
         d = _uderiv(ctx, fiber)
-        if not d:
-            continue
-        if len(_ugcd(ctx, fiber, d)) - 1 == 0:
+        if d and len(_ugcd(ctx, fiber, d)) == 1:
             return x0
     return None
 
@@ -694,13 +698,44 @@ class IrreducibilityVerdict:
         assert (self.witness is not None) == (not self.absolutely)
 
 
+# Fibers X = x0 the rational-point certificate tries, per unit of total degree.
+# A bound keeps a curve without such a point from costing q fibers; past it
+# the extension retest decides, so the bound never changes a verdict.
+_CERT_FIBERS_PER_DEGREE = 4
+
+
+def _has_smooth_rational_point(F: BiPoly) -> bool:
+    """True when F = 0 has an F_q-rational point (x0, y0) with F_Y(x0, y0) != 0.
+
+    On each fiber f(Y) = F(x0, Y) with nonvanishing Y-leading coefficient,
+    h = gcd(f, Y^q - Y) collects the rational roots; one of them is simple
+    exactly when gcd(h, f') is a proper divisor of h.
+    """
+    ctx = F.ctx
+    y = [ctx.zero_raw, ctx.one_raw]
+    tries = _CERT_FIBERS_PER_DEGREE * F.total_degree
+    for _, fiber in itertools.islice(_fibers(F), tries):
+        fiber = _umonic(ctx, fiber)
+        h = _ugcd(ctx, fiber, _usub(ctx, _upowmod(ctx, y, ctx.q, fiber), y))
+        if len(h) > 1 and len(_ugcd(ctx, h, _uderiv(ctx, fiber))) < len(h):
+            return True
+    return False
+
+
 def is_absolutely_irreducible(F: BiPoly, p: int | None = None) -> IrreducibilityVerdict:
     """Absolute-irreducibility verdict with a verified witness factor.
 
-    When F is irreducible over its base field F_q, any factorization over the
-    closure splits F into conjugate factors of equal bidegree, all defined over
-    F_{q^r} with r dividing gcd(deg_x, deg_y, total degree); it therefore
-    suffices to retest over F_{q^ell} for the primes ell of that gcd.
+    A factor over the base field F_q is the witness of reducibility. Once F is
+    irreducible over F_q, any factorization over the closure splits F into
+    distinct Frobenius-conjugate factors of equal bidegree, all defined over
+    F_{q^r} with r dividing g = gcd(deg_x, deg_y, total degree). So g = 1
+    settles it, and so does a certificate: an F_q-rational point of F = 0 with
+    F_Y != 0. Frobenius fixes such a point, so it would lie on every conjugate
+    factor and be singular if there were two or more.
+
+    Without a certificate (searched over a bounded number of fibers), the
+    fallback retests over F_{q^ell} for the primes ell of g, which either finds
+    a witness upstairs or proves absolute irreducibility.
     """
     ctx = F.ctx
     if p is not None and p != ctx.p:
@@ -710,7 +745,9 @@ def is_absolutely_irreducible(F: BiPoly, p: int | None = None) -> Irreducibility
     if w is not None:
         return IrreducibilityVerdict(False, False, w, ctx.t)
     g = math.gcd(F.deg_x, F.deg_y, F.total_degree)
-    for ell in prime_factors(g) if g > 1 else []:
+    if g == 1 or _has_smooth_rational_point(F):
+        return IrreducibilityVerdict(True, True, None, None)
+    for ell in prime_factors(g):
         big_t = ctx.t * ell
         if big_t > MAX_EXT_DEGREE:
             raise DegreeTooLarge(

@@ -334,9 +334,6 @@ class FieldCtx:
             e >>= 1
         return result
 
-    def frobenius(self, a):
-        return self.rpow(a, self.p)
-
     def raw_key(self, a) -> int:
         """Total order on elements: the integer whose base-p digits are the coeffs."""
         if self.t == 1:

@@ -78,9 +78,6 @@ class LambdaReport:
     def count(self) -> int:
         return len(self.exceptional)
 
-    def lambda_values(self) -> tuple:
-        return tuple(w.lam for w in self.exceptional)
-
 
 def _in_proper_subfield(ctx: FieldCtx, raw, t: int) -> bool:
     for u in range(1, t):

@@ -74,7 +74,7 @@ def _udivmod(ctx, a, b):
         raise ZeroPolynomial("division by the zero polynomial")
     rem = list(a)
     db = len(b) - 1
-    inv = ctx.rinv(b[-1])
+    inv = ctx.one_raw if b[-1] == ctx.one_raw else ctx.rinv(b[-1])
     z = ctx.zero_raw
     q = [z] * max(len(rem) - db, 0)
     while rem and len(rem) - 1 >= db:

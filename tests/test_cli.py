@@ -250,3 +250,13 @@ def test_cli_repeat_invocations_byte_identical():
     b = run_cli("lambda-scan", "--psi", "x^2+x", "-p", "11", "--format", "csv")
     assert a.returncode == 0
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("extra", [(), ("--max-ext", "2")])
+def test_cli_lambda_scan_output_does_not_depend_on_seed(extra):
+    args = ("lambda-scan", "--psi", "x^3+x", "-p", "31", *extra)
+    a = run_cli(*args, "--seed", "0")
+    b = run_cli(*args, "--seed", "12345")
+    assert a.returncode == 0 and b.returncode == 0
+    assert "lambdas = " in a.stdout
+    assert a.stdout == b.stdout

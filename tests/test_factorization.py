@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from subgroup_values.errors import (
     ZeroPolynomial,
 )
 from subgroup_values.factorization import (
+    _has_smooth_rational_point,
     embed_bipoly,
     embed_unipoly,
     _factor_via_extension,
@@ -21,7 +23,9 @@ from subgroup_values.factorization import (
     extract_power_root,
     univariate_factor_of,
 )
-from subgroup_values.fields import FieldCtx, ext_field_build
+from subgroup_values.fields import FieldCtx, ext_field_build, is_prime, prime_factors
+from subgroup_values.lambda_scan import build_sym_poly
+from subgroup_values.parsing import parse_rational_expr
 from subgroup_values.polynomials import BiPoly, UniPoly, poly_gcd, rational_normalize
 
 F2 = FieldCtx(2)
@@ -305,6 +309,47 @@ def test_extension_fallback_helper_direct():
     w = _factor_via_extension(G)
     assert w is not None
     assert G.try_divide(w) is not None
+
+
+# --- rational-point certificate ----------------------------------------------------
+
+
+def test_certificate_agrees_with_extension_retest():
+    # The extension retest stays the oracle: whenever a smooth rational point
+    # certifies an F_p-irreducible symmetrized polynomial, no extension of
+    # prime degree ell | g may split it.
+    certified = 0
+    for p in filter(is_prime, range(7, 62)):
+        for expr in ("x^2+x", "x^3+x", "x^4+x", "(x^2+1)/(x^2+3)"):
+            psi = parse_rational_expr(expr, p)
+            for lam in range(1, p):
+                F = build_sym_poly(psi, lam)
+                if find_proper_factor(F) is not None or not _has_smooth_rational_point(F):
+                    continue
+                g = math.gcd(F.deg_x, F.deg_y, F.total_degree)
+                for ell in prime_factors(g):
+                    up = embed_bipoly(F, ext_field_build(p, ell))
+                    assert find_proper_factor(up) is None, (expr, p, lam)
+                certified += 1
+    assert certified >= 1500
+
+
+def test_certificate_declines_on_cubic_norm_form():
+    # X^3 + a2 X^2 Y + a1 X Y^2 + a0 Y^3 = Y^3 m(X/Y) with m irreducible of
+    # degree 3: three conjugate lines over F_{p^3} whose only rational point
+    # is the singular origin, so only the F_{p^3} retest can decide.
+    for p in (7, 31, 211):
+        ctx = FieldCtx(p)
+        a0 = next(a for a in range(1, p)
+                  if len(factor_univariate(P(ctx, a, 1, 0, 1)).factors) == 1)
+        F = B(ctx, {(3, 0): 1, (1, 2): 1, (0, 3): a0})  # m(T) = T^3 + T + a0
+        assert find_proper_factor(F) is None
+        assert not _has_smooth_rational_point(F)
+        v = is_absolutely_irreducible(F)
+        assert v.over_base and not v.absolutely
+        assert v.witness_ext == 3
+        up = embed_bipoly(F, ext_field_build(p, 3))
+        assert up.try_divide(v.witness) is not None
 
 
 def test_find_proper_factor_completeness_on_products():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from subgroup_values import factorization
 from subgroup_values.errors import DegreeTooSmall, PerfectPowerInput, ZeroLambda
 from subgroup_values.factorization import embed_bipoly
 from subgroup_values.fields import FieldCtx
@@ -136,6 +137,23 @@ def test_extension_scan_finds_no_new_lambdas_for_x2_plus_1():
     assert report.count == 1
     assert int(report.exceptional[0].lam) == 1
     assert report.scanned_field.t == 2
+
+
+def test_cubic_scan_needs_almost_no_extension_retest(monkeypatch):
+    # The rational-point certificate settles nearly every F_p-irreducible λ,
+    # so the F_{p^3} factor search runs for at most a couple of them.
+    ext_calls = []
+    base_search = factorization.find_proper_factor
+
+    def counting(F):
+        if F.ctx.t > 1:
+            ext_calls.append(F)
+        return base_search(F)
+
+    monkeypatch.setattr(factorization, "find_proper_factor", counting)
+    report = exceptional_lambdas(R(FieldCtx(211), [0, 1, 0, 1]), 211)
+    assert sorted(int(w.lam) for w in report.exceptional) == [1, 210]
+    assert len(ext_calls) <= 2
 
 
 def test_quadratic_polynomial_scan_matches_conic_classifier():
