@@ -199,9 +199,6 @@ class FactorMultiset:
             acc = acc * poly**mult
         return acc
 
-    def multiplicities(self) -> tuple:
-        return tuple(m for _, m in self.factors)
-
 
 def factor_univariate(f: UniPoly, ctx: FieldCtx | None = None) -> FactorMultiset:
     """Complete factorization into monic irreducibles, deterministically ordered."""

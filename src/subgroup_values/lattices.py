@@ -1,9 +1,12 @@
 """Integer lattices: exact volumes, shortest vectors in the infinity norm, and
 the small-residue multiplier construction built on them.
 
-Shortest vectors come from a complete depth-first enumeration (exact rational
-Gram-Schmidt bounds) of the ball guaranteed by the volume bound; the basis is
-LLL-reduced first purely as an accelerator, never as a correctness dependency.
+Shortest vectors come from a complete depth-first enumeration of the ball
+guaranteed by the volume bound. The basis is first reduced by integral LLL,
+purely as an accelerator, never as a correctness dependency; its exact integer
+Gram-Schmidt state (Gram determinants d and lam = d * mu) is the only
+Gram-Schmidt computation, and the enumeration prunes with it in exact integer
+arithmetic.
 """
 
 import math
@@ -17,7 +20,7 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .fields import centered_residue, mod_inverse
-from .surd import Surd
+from .surd import Surd, iroot
 
 MAX_ENUM_DIM = 6
 NODE_BUDGET = 10**8
@@ -52,25 +55,6 @@ def _bareiss_det(rows) -> int:
 
 def _gram(cols):
     return [[sum(a * b for a, b in zip(u, v)) for v in cols] for u in cols]
-
-
-def _introot(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 0."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n == 0:
-        return 0
-    if k == 1:
-        return n
-    if k == 2:
-        return math.isqrt(n)
-    x = int(round(n ** (1.0 / k))) if n < 10**15 else int(math.exp(math.log(n) / k))
-    x = max(x, 1)
-    while (x + 1) ** k <= n:
-        x += 1
-    while x**k > n:
-        x -= 1
-    return x
 
 
 @dataclass(frozen=True)
@@ -118,32 +102,29 @@ def lattice_volume(B: LatticeBasis):
 
 
 def _lll_reduce(cols):
-    """Exact-arithmetic LLL; returns (reduced columns, transform U) with
-    reduced[i] = sum_j U[i][j] * cols[j]."""
+    """Integral LLL with delta = 99/100 (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.6.7).
+
+    Returns (reduced, U, d, lam) with reduced[i] = sum_j U[i][j] * cols[j].
+    The Gram-Schmidt state of the reduced basis is kept in exact integers and
+    updated in place on every size reduction and swap: d[i] is the Gram
+    determinant of the first i vectors (so |b*_i|^2 = d[i+1] / d[i]) and
+    lam[i][j] = d[j+1] * mu[i][j] for j < i.
+    """
     n = len(cols)
     b = [list(c) for c in cols]
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if n == 1:
-        return b, U
-    delta = Fraction(99, 100)
-
-    def dot(u, v):
-        return sum(Fraction(a) * Fraction(c) for a, c in zip(u, v))
-
-    def gso():
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        Bv = []
-        bstar = []
-        for i in range(n):
-            v = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                mu[i][j] = dot(b[i], bstar[j]) / Bv[j]
-                v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
-            bstar.append(v)
-            Bv.append(dot(v, v))
-        return mu, Bv
-
-    mu, Bv = gso()
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
     k = 1
     steps = 0
     while k < n:
@@ -151,64 +132,50 @@ def _lll_reduce(cols):
         if steps > 10000:
             break  # fall back to the current (still correct) basis
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                m = round(mu[k][j])
+            if 2 * abs(lam[k][j]) > d[j + 1]:  # |mu[k][j]| > 1/2
+                m = round(Fraction(lam[k][j], d[j + 1]))
                 b[k] = [x - m * y for x, y in zip(b[k], b[j])]
                 U[k] = [x - m * y for x, y in zip(U[k], U[j])]
-                mu, Bv = gso()
-        if Bv[k] >= (delta - mu[k][k - 1] ** 2) * Bv[k - 1]:
+                lam[k][j] -= m * d[j + 1]
+                for i in range(j):
+                    lam[k][i] -= m * lam[j][i]
+        lk = lam[k][k - 1]
+        # Lovasz: |b*_k|^2 >= (99/100 - mu[k][k-1]^2) |b*_{k-1}|^2
+        if 100 * d[k + 1] * d[k - 1] >= 99 * d[k] * d[k] - 100 * lk * lk:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
             U[k], U[k - 1] = U[k - 1], U[k]
-            mu, Bv = gso()
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+            for i in range(k + 1, n):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (dk * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = dk
             k = max(k - 1, 1)
-    return b, U
+    return b, U, d, lam
 
 
 # --- exact enumeration ------------------------------------------------------------
 
 
-def _interval(center: Fraction, w2: Fraction):
-    """All integers z with (z - center)^2 <= w2, as an inclusive (lo, hi)."""
-    if w2 < 0:
-        return 1, 0
-    cn, cd = center.numerator, center.denominator
-    wn, wd = w2.numerator, w2.denominator
-    a = math.isqrt(wn * wd)  # a <= sqrt(wn*wd) < a + 1
-    hi = (cn * wd + cd * (a + 1)) // (cd * wd)
-    while Fraction(hi) > center and (Fraction(hi) - center) ** 2 > w2:
-        hi -= 1
-    lo = -(((-cn) * wd + cd * (a + 1)) // (cd * wd))
-    while Fraction(lo) < center and (Fraction(lo) - center) ** 2 > w2:
-        lo += 1
-    return lo, hi
-
-
-def _enumerate_ball(cols, linf_bound: int):
+def _enumerate_ball(cols, d, lam, linf_bound: int):
     """All nonzero lattice vectors with infinity norm <= linf_bound, complete.
 
     Enumerates the L2 ball of radius sqrt(dim) * linf_bound with exact
-    rational pruning, then filters by the infinity norm.
+    pruning, then filters by the infinity norm. The Gram-Schmidt data of cols
+    is the (d, lam) state that _lll_reduce returns for them. At level i the
+    centre is -N / d[i+1] for the integer N = sum_j lam[j][i] z_j, and a step
+    adds (z d[i+1] + N)^2 / (d[i] d[i+1]) to the squared length, so every
+    partial length is an integer multiple of 1/M with M = lcm_i d[i] d[i+1].
     """
     r = len(cols)
     s = len(cols[0])
-    R2 = Fraction(s * linf_bound * linf_bound)
-
-    mu = [[Fraction(0)] * r for _ in range(r)]
-    Bv = []
-    bstar = []
-    for i in range(r):
-        v = [Fraction(x) for x in cols[i]]
-        for j in range(i):
-            num = sum(Fraction(a) * y for a, y in zip(cols[i], bstar[j]))
-            mu[i][j] = num / Bv[j]
-            v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
-        bstar.append(v)
-        d = sum(x * x for x in v)
-        if d == 0:
-            raise RankDeficient("columns are linearly dependent")
-        Bv.append(d)
+    M = math.lcm(*(d[i] * d[i + 1] for i in range(r)))
+    R2M = s * linf_bound * linf_bound * M
+    scale = [M // (d[i] * d[i + 1]) for i in range(r)]
 
     out = []
     coeffs = [0] * r
@@ -216,17 +183,15 @@ def _enumerate_ball(cols, linf_bound: int):
 
     def go(level, used):
         nonlocal nodes
-        center = -sum(mu[j][level] * coeffs[j] for j in range(level + 1, r))
-        lo, hi = _interval(center, (R2 - used) / Bv[level])
-        for z in range(lo, hi + 1):
+        dl = d[level + 1]
+        N = sum(lam[j][level] * coeffs[j] for j in range(level + 1, r))
+        # exactly the z with (z dl + N)^2 * scale <= R2M - used
+        a = math.isqrt((R2M - used) // scale[level])
+        for z in range(-((a + N) // dl), (a - N) // dl + 1):
             nodes += 1
             if nodes > NODE_BUDGET:
                 raise SearchSpaceTooLarge(f"enumeration exceeded {NODE_BUDGET} nodes")
             coeffs[level] = z
-            add = (Fraction(z) - center) ** 2 * Bv[level]
-            nxt = used + add
-            if nxt > R2:
-                continue
             if level == 0:
                 vec = tuple(
                     sum(coeffs[i] * cols[i][t] for i in range(r)) for t in range(s)
@@ -234,10 +199,10 @@ def _enumerate_ball(cols, linf_bound: int):
                 if any(vec) and max(abs(x) for x in vec) <= linf_bound:
                     out.append((vec, tuple(coeffs)))
             else:
-                go(level - 1, nxt)
+                go(level - 1, used + (z * dl + N) ** 2 * scale[level])
         coeffs[level] = 0
 
-    go(r - 1, Fraction(0))
+    go(r - 1, 0)
     return out
 
 
@@ -256,11 +221,11 @@ def _short_candidates(B: LatticeBasis):
     (norm, tie-break); coefficients refer to the input basis."""
     if B.rank > MAX_ENUM_DIM:
         raise SearchSpaceTooLarge(f"rank {B.rank} exceeds the enumeration cap {MAX_ENUM_DIM}")
-    reduced, U = _lll_reduce(B.cols)
-    bound = _introot(B.gram_det, 2 * B.rank)  # floor(vol^(1/rank))
+    reduced, U, d, lam = _lll_reduce(B.cols)
+    bound = iroot(B.gram_det, 2 * B.rank)  # floor(vol^(1/rank))
     bound = max(bound, 1)
     bound = min(bound, min(max(abs(x) for x in col) for col in reduced))
-    raw = _enumerate_ball(reduced, bound)
+    raw = _enumerate_ball(reduced, d, lam, bound)
     seen = {}
     for vec, cred in raw:
         corig = tuple(

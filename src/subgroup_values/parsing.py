@@ -63,12 +63,6 @@ class _Parser:
         self.pos += 1
         return t
 
-    def expect(self, kind):
-        t = self.next()
-        if t[0] != kind:
-            raise ParseError(f"expected {kind!r}", t[2])
-        return t
-
     def parse_sum(self):
         acc = self.parse_term()
         while self.peek()[0] in "+-":

@@ -13,7 +13,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import Interval, congruent_pairs, count_values_in_subgroup, subgroup_of_order
+from .counting import (
+    Interval,
+    _eval_int_bipoly,
+    congruent_pairs,
+    count_values_in_subgroup,
+    subgroup_of_order,
+)
 from .errors import (
     BadRange,
     DegenerateDegrees,
@@ -112,12 +118,6 @@ class LevelSelection:
     U: Surd
     levels: dict
     product_check: Fraction
-
-    def max_level(self) -> Surd:
-        return self.levels[min(self.levels, key=lambda ij: ij[0] + ij[1])]
-
-    def min_level(self) -> Surd:
-        return self.levels[max(self.levels, key=lambda ij: ij[0] + ij[1])]
 
 
 def _effective_c(p: int, H: int, exp: ExponentSet) -> float | None:
@@ -232,10 +232,6 @@ class ProofTrace:
     ratio: float
 
 
-def _eval_int_terms(terms: dict, x: int, y: int) -> int:
-    return sum(c * x**i * y**j for (i, j), c in terms.items())
-
-
 def _eval_int_terms_horner(terms: dict, x: int, y: int) -> int:
     # independent evaluation order for the second verification pass
     rows: dict = {}
@@ -326,7 +322,7 @@ def trace_proof(psi: RationalFunc, p: int, H: int, T: int, exceptional=None) -> 
 
     pairs_z = []
     for (x, y) in best_pairs:
-        diff = _eval_int_terms(F_terms, x, y) - _eval_int_terms(G_terms, x, y)
+        diff = _eval_int_bipoly(F_terms, x, y) - _eval_int_bipoly(G_terms, x, y)
         assert diff % p == 0, "congruent pair fails the integer congruence"
         pairs_z.append((x, y, diff // p))
     z_max = max((abs(z) for _, _, z in pairs_z), default=0)

@@ -293,13 +293,6 @@ class UniPoly:
         x = self.ctx.el(x)
         return FieldElem(self.ctx, _ueval(self.ctx, self.coeffs, x.raw))
 
-    def compose(self, other: "UniPoly") -> "UniPoly":
-        self._check(other)
-        acc = UniPoly.zero(self.ctx)
-        for c in reversed(self.coeffs):
-            acc = acc * other + UniPoly(self.ctx, (c,), raw=True)
-        return acc
-
     def shift(self, a) -> "UniPoly":
         a = self.ctx.el(a).raw
         return UniPoly(self.ctx, _ushift(self.ctx, list(self.coeffs), a), raw=True)
@@ -645,9 +638,6 @@ class RationalFunc:
 
     def is_constant(self):
         return self.num.is_constant() and self.den.is_constant()
-
-    def is_polynomial(self):
-        return self.den.degree == 0
 
     def eval_raw(self, x_raw):
         """Value as a raw element, or None at a pole."""

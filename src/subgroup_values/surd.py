@@ -8,17 +8,19 @@ import math
 from fractions import Fraction
 
 
-def _nth_root_floor(fr: Fraction, n: int) -> int:
-    """floor(fr^(1/n)) for fr >= 0."""
-    if fr < 0:
+def iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for integers n >= 0 and k >= 1, by integer Newton
+    iteration from a power of two above the root; exact at any size."""
+    if n < 0:
         raise ValueError("negative radicand")
-    k = round(math.exp(math.log(float(fr) if fr < 10**300 else 10**300) / n)) if fr > 0 else 0
-    k = max(k, 0)
-    while Fraction(k + 1) ** n <= fr:
-        k += 1
-    while k > 0 and Fraction(k) ** n > fr:
-        k -= 1
-    return k
+    if n < 2 or k == 1:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 class Surd:
@@ -93,15 +95,13 @@ class Surd:
         return hash((self.radicand, self.index))
 
     def floor(self) -> int:
-        return _nth_root_floor(self.radicand, self.index)
-
-    def is_rational(self) -> bool:
-        return self.index == 1 or self.radicand in (0, 1)
+        # k^n <= r iff k^n <= floor(r), as k^n is an integer
+        return iroot(math.floor(self.radicand), self.index)
 
     def as_fraction(self) -> Fraction:
         if self.index == 1:
             return self.radicand
-        k = _nth_root_floor(self.radicand, self.index)
+        k = iroot(math.floor(self.radicand), self.index)
         if Fraction(k) ** self.index == self.radicand:
             return Fraction(k)
         raise ValueError(f"{self!r} is irrational")

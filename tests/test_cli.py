@@ -245,6 +245,13 @@ def test_cli_lattice_find_worked_example():
     assert all(int(x) <= bound for x, bound in zip(data["residues"].split(";"), (3, 4)))
 
 
+def test_cli_lattice_find_output_is_pinned():
+    # recorded from the rational LLL that recomputed Gram-Schmidt on every update
+    r = run_cli("lattice-find", "-p", "100003", "--b", "1,31415,92653,58979", "--V", "5000,5000,5000,8001")
+    assert r.returncode == 0
+    assert r.stdout == "p = 100003\ns = 4\nv = 1197\nresidues = 1197;2627;2314;4255\n"
+
+
 def test_cli_repeat_invocations_byte_identical():
     a = run_cli("lambda-scan", "--psi", "x^2+x", "-p", "11", "--format", "csv")
     b = run_cli("lambda-scan", "--psi", "x^2+x", "-p", "11", "--format", "csv")

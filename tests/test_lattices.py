@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -10,10 +11,12 @@ from subgroup_values.errors import (
     RankDeficient,
     SearchSpaceTooLarge,
 )
-from subgroup_values.fields import centered_residue
+from subgroup_values.fields import centered_residue, is_prime
 from subgroup_values.lattices import (
     LatticeBasis,
     SmallResidueInstance,
+    _bareiss_det,
+    _lll_reduce,
     build_red_basis,
     find_small_residue_multiplier,
     lattice_volume,
@@ -69,6 +72,114 @@ def test_minkowski_bound_random_bases():
         norm = max(abs(x) for x in v)
         assert norm**r <= lattice_volume(B)
         done += 1
+
+
+# --- LLL pinned to its recorded outputs -------------------------------------------
+
+
+def _pin_instance(rng, lo, hi, s):
+    while True:
+        p = rng.randint(lo, hi)
+        if not is_prime(p):
+            continue
+        target = p ** (s - 1)
+        side = max(2, int(target ** (1.0 / s)))
+        V = [max(1, min(p - 1, int(side * math.exp(rng.uniform(-0.5, 0.5))))) for _ in range(s - 1)]
+        V.append(target // math.prod(V) + 1)
+        if V[-1] < p and math.prod(V) <= 2 * target:
+            b = (1,) + tuple(rng.randrange(p) for _ in range(s - 1))
+            return SmallResidueInstance(p, b, tuple(V))
+
+
+def _pinned_lattices():
+    """200 bases in chunks of ten: build_red_basis for s = 2..6 over small,
+    mid and wide primes, then random 2..6-dimensional bases, the last ten
+    with a rounding tie in their first size reduction."""
+    rng = random.Random(20261018)
+    out = []
+    for lo, hi in ((11, 2000), (2001, 200000), (2**20, 2**32 - 1)):
+        for s in range(2, 7):
+            for _ in range(10):
+                out.append(build_red_basis(_pin_instance(rng, lo, hi, s)).cols)
+    while len(out) < 200:
+        r = rng.randint(2, 6)
+        m = 10 ** rng.randint(1, 12)
+        cols = [[rng.randint(-m, m) for _ in range(r)] for _ in range(r)]
+        if len(out) >= 190:
+            # mu[1][0] = k + 1/2 exactly: size reduction meets a rounding tie
+            cols[0] = [2] + [0] * (r - 1)
+            cols[1][0] = 2 * rng.randint(-m, m) + 1
+        try:
+            out.append(LatticeBasis(cols).cols)
+        except RankDeficient:
+            continue
+    return out
+
+
+def _lll_digest(outputs) -> str:
+    flat = [(tuple(map(tuple, red)), tuple(map(tuple, U))) for red, U in outputs]
+    return hashlib.sha256(repr(flat).encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of (reduced, U) for each chunk, recorded from the exact
+# rational LLL that recomputed the whole Gram-Schmidt after every update
+_PINNED_LLL_DIGESTS = (
+    "7505e8e783d14d45",
+    "29d9adc83c257613",
+    "4aabce875cc253be",
+    "d0646ecc95a77b28",
+    "3d8631ef0aab04ab",
+    "e0bdccf95f7f86fd",
+    "b53fcd70e66cde78",
+    "c6ae9b51873b094a",
+    "256f8d9ebcf0a630",
+    "8ae48b69f34c6838",
+    "4d4cc11b051d1861",
+    "40fad1e9728ccfbf",
+    "6a0d730f95cace61",
+    "26416e02e49ed3cd",
+    "b24c3732e441f4af",
+    "99b1f9dd3cea4fd6",
+    "be59dfb38f8e0816",
+    "e73f99eb1e9cd4e0",
+    "0c885ffc9a59313e",
+    "6277ff6367b7919f",
+)
+
+
+def _fraction_gso(rows):
+    mu = [[Fraction(0)] * len(rows) for _ in rows]
+    bstar, Bv = [], []
+    for i, row in enumerate(rows):
+        v = [Fraction(x) for x in row]
+        for j in range(i):
+            mu[i][j] = sum(x * y for x, y in zip(row, bstar[j])) / Bv[j]
+            v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
+        bstar.append(v)
+        Bv.append(sum(x * x for x in v))
+    return mu, Bv
+
+
+def test_lll_reproduces_pinned_outputs_and_invariants():
+    lattices = _pinned_lattices()
+    outputs = []
+    for cols in lattices:
+        red, U, d, lam = _lll_reduce(cols)
+        n = len(cols)
+        outputs.append((red, U))
+        for i in range(n):
+            assert list(red[i]) == [sum(U[i][j] * cols[j][t] for j in range(n)) for t in range(len(cols[0]))]
+        assert abs(_bareiss_det(U)) == 1
+        mu, Bv = _fraction_gso(red)
+        for i in range(n):
+            assert Fraction(d[i + 1], d[i]) == Bv[i]
+            for j in range(i):
+                assert abs(mu[i][j]) <= Fraction(1, 2)
+                assert Fraction(lam[i][j], d[j + 1]) == mu[i][j]
+        for k in range(1, n):
+            assert Bv[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * Bv[k - 1]
+    got = tuple(_lll_digest(outputs[i : i + 10]) for i in range(0, len(outputs), 10))
+    assert got == _PINNED_LLL_DIGESTS
 
 
 def test_build_red_basis_worked_example():
@@ -202,3 +313,13 @@ def test_multiplier_never_not_found_on_valid_instances():
         except MultiplierNotFound:
             pytest.fail("construction failed on a valid instance")
         assert inst.satisfied_by(v)
+
+
+def test_multiplier_at_a_million_returns_quickly(budget):
+    # its volume bound, floor(gram_det^(1/10)), is about 2^80: past float precision
+    inst = SmallResidueInstance(
+        1000003, (1, 271828, 314159, 577215, 141421), (63000, 63000, 63000, 63000, 63481)
+    )
+    with budget(5.0):
+        v = find_small_residue_multiplier(inst)
+    assert inst.satisfied_by(v)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from subgroup_values.surd import Surd
+from subgroup_values.surd import Surd, iroot
 
 
 def test_basic_comparisons():
@@ -30,6 +30,22 @@ def test_floor_values():
     assert Surd(121, 2).floor() == 11
     assert Surd(Fraction(7, 2), 1).floor() == 3
     assert Surd(0, 5).floor() == 0
+
+
+def test_huge_roots_return_quickly(budget):
+    # radicands past the float range and roots past 2^53 need exact integer roots
+    with budget(2.0):
+        assert Surd(10**400).floor() == 10**400
+        assert Surd(Fraction(10**330), 2).floor() == 10**165
+        assert Surd(Fraction(10**330), 2).as_fraction() == 10**165
+        a = iroot(3**200, 3)
+        assert a**3 <= 3**200 < (a + 1) ** 3
+
+
+@given(n=st.integers(0, 10**400), k=st.integers(1, 16))
+def test_iroot_is_the_floor_root(n, k):
+    a = iroot(n, k)
+    assert a**k <= n < (a + 1) ** k
 
 
 def test_irrational_as_fraction_raises():
