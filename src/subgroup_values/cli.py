@@ -54,7 +54,6 @@ class CliConfig:
     subcommand: str
     fmt: str
     output: str | None
-    seed: int
     args: argparse.Namespace
 
 
@@ -96,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
         sp.add_argument("--output", default=None, help="write to this path instead of stdout")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized internals")
+        sp.add_argument("--seed", type=int, default=0,
+                        help="accepted and ignored; the randomized internals use a fixed seed")
 
     sp = sub.add_parser("count", help="count interval values landing in a subgroup")
     sp.add_argument("--psi", required=True)
@@ -325,10 +325,8 @@ def cmd_dispatch(argv) -> int:
         subcommand=ns.subcommand,
         fmt=getattr(ns, "format", "text"),
         output=getattr(ns, "output", None),
-        seed=getattr(ns, "seed", 0),
         args=ns,
     )
-    factorization.set_default_seed(cfg.seed)
     try:
         _HANDLERS[cfg.subcommand](cfg)
     except SubgroupValuesError as ex:

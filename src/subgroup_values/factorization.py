@@ -46,15 +46,6 @@ from .polynomials import (
     rational_normalize,
 )
 
-_DEFAULT_SEED = 0
-
-
-def set_default_seed(seed: int) -> None:
-    """Seed for the randomized splitting steps; fixed by default so runs repeat."""
-    global _DEFAULT_SEED
-    _DEFAULT_SEED = seed
-
-
 # --- univariate factorization over any ctx (raw-list internals) -----------------
 
 
@@ -168,7 +159,7 @@ def _u_factor(ctx, f):
     fm = _umonic(ctx, f)
     if len(fm) - 1 == 0:
         return unit, []
-    rng = random.Random(_DEFAULT_SEED)
+    rng = random.Random(0)
     pairs = []
     for part, mult in _u_sqfree(ctx, fm):
         for irr in _u_factor_monic_squarefree(ctx, part, rng):
@@ -468,7 +459,7 @@ def _hensel_find_factor(F: BiPoly, x0):
 
     u0 = _ustrip(ctx, [(row[0] if row else z) for row in rows])
     assert len(u0) - 1 == n, "leading coefficient vanished at the chosen point"
-    rng = random.Random(_DEFAULT_SEED)
+    rng = random.Random(0)
     base_factors = _u_factor_monic_squarefree(ctx, _umonic(ctx, u0), rng)
     base_factors.sort(key=lambda g: (len(g), _ukey(ctx, g)))
     r = len(base_factors)

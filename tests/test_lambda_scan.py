@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from subgroup_values import factorization
+from subgroup_values import factorization, lambda_scan
 from subgroup_values.errors import DegreeTooSmall, PerfectPowerInput, ZeroLambda
-from subgroup_values.factorization import embed_bipoly
-from subgroup_values.fields import FieldCtx
+from subgroup_values.factorization import embed_bipoly, is_absolutely_irreducible
+from subgroup_values.fields import FieldCtx, FieldElem, ext_field_build, is_prime
 from subgroup_values.lambda_scan import build_sym_poly, exceptional_lambdas
+from subgroup_values.parsing import parse_rational_expr
 from subgroup_values.polynomials import BiPoly, UniPoly, rational_normalize
 
 F5 = FieldCtx(5)
@@ -154,6 +155,79 @@ def test_cubic_scan_needs_almost_no_extension_retest(monkeypatch):
     report = exceptional_lambdas(R(FieldCtx(211), [0, 1, 0, 1]), 211)
     assert sorted(int(w.lam) for w in report.exceptional) == [1, 210]
     assert len(ext_calls) <= 2
+
+
+def test_fiber_sieve_carries_the_cubic_scan(monkeypatch):
+    # Only the exceptional λ reach the bivariate absolute-irreducibility test.
+    calls = []
+
+    def counting(F):
+        calls.append(F)
+        return is_absolutely_irreducible(F)
+
+    monkeypatch.setattr(lambda_scan, "is_absolutely_irreducible", counting)
+    report = exceptional_lambdas(R(FieldCtx(211), [0, 1, 0, 1]), 211)
+    assert sorted(int(w.lam) for w in report.exceptional) == [1, 210]
+    assert len(calls) == 2
+
+
+def _oracle_exceptional(psi, max_ext=1):
+    """The reference scan: is_absolutely_irreducible on every λ of F_{p^t}*
+    outside F_p for t = 2 (the only proper subfield there), in scan order."""
+    out = []
+    for t in range(1, max_ext + 1):
+        ctx = ext_field_build(psi.ctx.p, t)
+        for raw in ctx.elements():
+            if ctx.is_zero_raw(raw) or (t == 2 and not any(raw[1:])):
+                continue
+            verdict = is_absolutely_irreducible(build_sym_poly(psi, FieldElem(ctx, raw)))
+            if not verdict.absolutely:
+                out.append((t, raw, verdict.witness, verdict.witness_ext))
+    return out
+
+
+def _scanned(report):
+    return [(w.lam.ctx.t, w.lam.raw, w.witness, w.ext_degree) for w in report.exceptional]
+
+
+# deg f > deg g, deg f = deg g and deg f < deg g. (x^3+2)/(x^3-2) has λ = -1
+# irreducible over F_p and split over F_{p^3} whenever 2 is not a cube mod p.
+ORACLE_MAPS = (
+    "x^2+x", "x^3+x", "x^4+x", "(x^2+1)/(x+2)", "(x^2+1)/(x^2+3)", "(x^2+3)/(x^3+x)",
+    "(x^3+2)/(x^3-2)",
+)
+
+
+def test_fiber_sieve_matches_per_lambda_oracle(monkeypatch):
+    # The sieve settles a λ only when it is provably not exceptional, so the
+    # scan must report exactly the oracle's λ, witnesses and extension degrees;
+    # and on maps whose fibers do not always split, the sieve settles almost
+    # every non-exceptional λ instead of passing it on.
+    fallback = []
+
+    def counting(F):
+        fallback.append(F)
+        return is_absolutely_irreducible(F)
+
+    monkeypatch.setattr(lambda_scan, "is_absolutely_irreducible", counting)
+    cases = [(expr, p, 1) for expr in ORACLE_MAPS for p in filter(is_prime, range(7, 102))]
+    cases += [(expr, p, 2) for expr in ORACLE_MAPS[:6] for p in (5, 7, 11)]
+    non_exceptional = settled = certificate_needed = 0
+    for expr, p, max_ext in cases:
+        psi = parse_rational_expr(expr, p)
+        if not isinstance(psi.D, int) or psi.D < 2 or p <= psi.num.degree + psi.den.degree:
+            continue
+        fallback.clear()
+        got = _scanned(exceptional_lambdas(psi, p, max_ext=max_ext))
+        want = _oracle_exceptional(psi, max_ext)
+        assert got == want, (expr, p, max_ext)
+        certificate_needed += sum(1 for t, _, _, ext in want if ext > t)
+        if expr in ORACLE_MAPS[:6]:
+            tested = sum(p**t - p ** (t - 1) for t in range(1, max_ext + 1))
+            non_exceptional += tested - len(want)
+            settled += tested - len(fallback)
+    assert certificate_needed >= 5
+    assert settled >= 0.99 * non_exceptional
 
 
 def test_quadratic_polynomial_scan_matches_conic_classifier():
