@@ -9,20 +9,25 @@ Every fiber of the pencil is one polynomial of a single family: F_λ(x0, Y) =
 f(x0)g(Y) - λ g(x0)f(Y) is, up to a nonzero scalar, P_μ(Y) = g(Y) - μ f(Y)
 with μ = λ g(x0)/f(x0), or P_∞ = f where f(x0) = 0. So each scanned field
 gets one table, built once, of the factor degrees of every P_μ of full degree
-n = deg_Y F_λ that is squarefree. A λ is settled without a bivariate search
-when no Y-degree in 1..n-1 is a sum of factor degrees on every one of its
-fibers, and, if gcd(deg_x, deg_y, total degree) > 1, some fiber has a simple
-rational root. The first makes F_λ irreducible over the field: a factor of
-Y-degree a restricts to factors of total degree a on each such fiber, and a
-factor c(X) of Y-degree 0 would make the fiber at a root of c vanish, which
-coprime f, g rule out. The second is a smooth rational point, which
-certifies absolute irreducibility. Every other λ, every exceptional one
-among them, goes to `is_absolutely_irreducible`, whose verdict and witness
-are the reported ones.
+n = deg_Y F_λ that is squarefree. f and g are coprime, so y ∈ F_q is a root
+of P_μ exactly when f(y) ≠ 0 and g(y)/f(y) = μ (of P_∞ when f(y) = 0): the
+number k of linear factors of P_μ is a count of the ratios g(x0)/f(x0) the
+sieve walks anyway, and the rootless rest, of degree m = n - k, is empty or
+irreducible when m ≤ 3. Only the entries with m ≥ 4 run a distinct-degree
+factorization. A λ is settled without a bivariate search when no Y-degree in
+1..n-1 is a sum of factor degrees on every one of its fibers, and, if
+gcd(deg_x, deg_y, total degree) > 1, some fiber has a simple rational root.
+The first makes F_λ irreducible over the field: a factor of Y-degree a
+restricts to factors of total degree a on each such fiber, and a factor c(X)
+of Y-degree 0 would make the fiber at a root of c vanish, which coprime f, g
+rule out. The second is a smooth rational point, which certifies absolute
+irreducibility. Every other λ, every exceptional one among them, goes to
+`is_absolutely_irreducible`, whose verdict and witness are the reported ones.
 """
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -114,15 +119,20 @@ def _in_proper_subfield(ctx: FieldCtx, raw, t: int) -> bool:
     return False
 
 
-def _fiber_table(ctx: FieldCtx, f, g, n: int) -> dict:
+def _fiber_table(ctx: FieldCtx, f, g, n: int, ratios) -> dict:
     """{μ: (mask, linear)} over μ in F_q and None for ∞, keeping each P_μ
     (g - μ f, and f for ∞) of degree n that is squarefree.
 
     Bit a of mask is set for each a in 1..n-1 that is a sum of some of P_μ's
-    F_q-factor degrees; linear says P_μ has a root in F_q. The table is empty
-    when some a is such a sum on every entry, as for maps whose fibers always
-    split: then no λ's fibers can rule a out.
+    F_q-factor degrees; linear says P_μ has a root in F_q. ratios[x0] is
+    g(x0)/f(x0), or None where f(x0) = 0, so P_μ has as many roots k as μ has
+    occurrences in ratios. The degrees are k ones and those of a rootless part
+    of degree m = n - k, which is empty or irreducible when m ≤ 3; only m ≥ 4
+    needs `_u_ddf`. The table is empty when some a is such a sum on every
+    entry, as for maps whose fibers always split: then no λ's fibers can rule
+    a out.
     """
+    roots = Counter(ratios)
     inner = (1 << n) - 2
     table = {}
     for mu in itertools.chain(ctx.elements(), [None]):
@@ -132,13 +142,18 @@ def _fiber_table(ctx: FieldCtx, f, g, n: int) -> dict:
         P = _umonic(ctx, P)
         if len(_ugcd(ctx, P, _uderiv(ctx, P))) != 1:
             continue
-        sums = 1
-        linear = False
-        for part, d in _u_ddf(ctx, P):
-            for _ in range((len(part) - 1) // d):
-                sums |= sums << d
-            linear = linear or d == 1
-        table[mu] = (sums & inner, linear)
+        k = roots[mu]
+        m = n - k
+        if m < 4:
+            sums = (1 << (k + 1)) - 1
+            if m >= 2:
+                sums |= sums << m
+        else:
+            sums = 1
+            for part, d in _u_ddf(ctx, P):
+                for _ in range((len(part) - 1) // d):
+                    sums |= sums << d
+        table[mu] = (sums & inner, k > 0)
     common = inner
     for mask, _ in table.values():
         common &= mask
@@ -194,12 +209,12 @@ def exceptional_lambdas(psi: RationalFunc, p: int | None = None, max_ext: int = 
         top_ctx = ctx_t
         f = list(embed_unipoly(psi.num, ctx_t).coeffs)
         g = list(embed_unipoly(psi.den, ctx_t).coeffs)
-        table = _fiber_table(ctx_t, f, g, n)
         ratios = []
         for x0 in ctx_t.elements():
             fx = _ueval(ctx_t, f, x0)
             gx = _ueval(ctx_t, g, x0)
             ratios.append(None if ctx_t.is_zero_raw(fx) else ctx_t.rmul(gx, ctx_t.rinv(fx)))
+        table = _fiber_table(ctx_t, f, g, n, ratios)
         for raw in ctx_t.elements():
             if ctx_t.is_zero_raw(raw):
                 continue

@@ -22,7 +22,7 @@ from .errors import (
 from .fields import centered_residue, mod_inverse
 from .surd import Surd, iroot
 
-MAX_ENUM_DIM = 6
+MAX_ENUM_DIM = 6  # lattice dimension cap; keeps the tracer at desk scale
 NODE_BUDGET = 10**8
 
 V_SCAN_LIMIT = 10**6

@@ -32,7 +32,7 @@ from .errors import (
 from .factorization import extract_power_root, perfect_power_exponent
 from .fields import signed_residue
 from .lambda_scan import exceptional_lambdas
-from .lattices import SmallResidueInstance, find_small_residue_multiplier
+from .lattices import MAX_ENUM_DIM, SmallResidueInstance, find_small_residue_multiplier
 from .parsing import parse_rational_expr
 from .polynomials import RationalFunc
 from .reporting import (
@@ -43,8 +43,6 @@ from .reporting import (
     ReportRow,
 )
 from .surd import Surd
-
-MAX_SUPPORT_SIZE = 6  # lattice dimension cap; keeps the tracer at desk scale
 
 
 @dataclass(frozen=True)
@@ -266,9 +264,9 @@ def trace_proof(psi: RationalFunc, p: int, H: int, T: int, exceptional=None) -> 
     if not 2 <= H < p:
         raise PreconditionViolated(f"need 2 <= H < p, got H = {H}, p = {p}")
     exp = exponent_set(psi.d, psi.e)
-    if exp.s > MAX_SUPPORT_SIZE:
+    if exp.s > MAX_ENUM_DIM:
         raise PreconditionViolated(
-            f"support size s = {exp.s} exceeds the dimension cap {MAX_SUPPORT_SIZE}"
+            f"support size s = {exp.s} exceeds the dimension cap {MAX_ENUM_DIM}"
         )
     levels = select_test_levels(p, H, exp)
     G = subgroup_of_order(p, T)

@@ -267,3 +267,13 @@ def test_cli_lambda_scan_output_does_not_depend_on_seed(extra):
     assert a.returncode == 0 and b.returncode == 0
     assert "lambdas = " in a.stdout
     assert a.stdout == b.stdout
+
+
+def test_lambda_scan_survey_script_prints_every_row():
+    # one row per p in (7, 11, 13) and degree pair (2,0), (3,0), (2,1), (4,0), (3,2)
+    script = Path(__file__).resolve().parent.parent / "scripts" / "lambda_scan_survey.py"
+    r = subprocess.run([sys.executable, str(script), "--samples", "1"], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    header, *rows = r.stdout.splitlines()
+    assert header.split()[:2] == ["p", "(d,e)"]
+    assert len(rows) == 15

@@ -1,14 +1,27 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from subgroup_values import factorization, lambda_scan
-from subgroup_values.errors import DegreeTooSmall, PerfectPowerInput, ZeroLambda
-from subgroup_values.factorization import embed_bipoly, is_absolutely_irreducible
+from subgroup_values.errors import DegreeTooSmall, PerfectPowerInput, ZeroDenominator, ZeroLambda
+from subgroup_values.factorization import _u_ddf, embed_bipoly, embed_unipoly, is_absolutely_irreducible
 from subgroup_values.fields import FieldCtx, FieldElem, ext_field_build, is_prime
 from subgroup_values.lambda_scan import build_sym_poly, exceptional_lambdas
 from subgroup_values.parsing import parse_rational_expr
-from subgroup_values.polynomials import BiPoly, UniPoly, rational_normalize
+from subgroup_values.polynomials import (
+    BiPoly,
+    UniPoly,
+    _uderiv,
+    _ueval,
+    _ugcd,
+    _umonic,
+    _uscale,
+    _usub,
+    rational_normalize,
+)
 
 F5 = FieldCtx(5)
 F7 = FieldCtx(7)
@@ -228,6 +241,109 @@ def test_fiber_sieve_matches_per_lambda_oracle(monkeypatch):
             settled += tested - len(fallback)
     assert certificate_needed >= 5
     assert settled >= 0.99 * non_exceptional
+
+
+def _reference_fiber_table(ctx, f, g, n):
+    """The fiber table with every entry's factor degrees from a distinct-degree
+    factorization of P_μ, no root counting."""
+    inner = (1 << n) - 2
+    table = {}
+    for mu in itertools.chain(ctx.elements(), [None]):
+        P = f if mu is None else _usub(ctx, g, _uscale(ctx, f, mu))
+        if len(P) != n + 1:
+            continue
+        P = _umonic(ctx, P)
+        if len(_ugcd(ctx, P, _uderiv(ctx, P))) != 1:
+            continue
+        sums = 1
+        linear = False
+        for part, d in _u_ddf(ctx, P):
+            for _ in range((len(part) - 1) // d):
+                sums |= sums << d
+            linear = linear or d == 1
+        table[mu] = (sums & inner, linear)
+    common = inner
+    for mask, _ in table.values():
+        common &= mask
+    return {} if common else table
+
+
+def _table_inputs(psi, t):
+    ctx = ext_field_build(psi.ctx.p, t)
+    f = list(embed_unipoly(psi.num, ctx).coeffs)
+    g = list(embed_unipoly(psi.den, ctx).coeffs)
+    ratios = []
+    for x0 in ctx.elements():
+        fx = _ueval(ctx, f, x0)
+        ratios.append(None if ctx.is_zero_raw(fx) else ctx.rmul(_ueval(ctx, g, x0), ctx.rinv(fx)))
+    return ctx, f, g, max(psi.num.degree, psi.den.degree), ratios
+
+
+def _assert_table_matches_reference(psi, t):
+    ctx, f, g, n, ratios = _table_inputs(psi, t)
+    assert lambda_scan._fiber_table(ctx, f, g, n, ratios) == _reference_fiber_table(ctx, f, g, n)
+
+
+# Beyond ORACLE_MAPS, two maps of degree 5 whose fibers can keep a rootless
+# part of degree 4 or 5.
+TABLE_MAPS = ORACLE_MAPS + ("x^5+x^2+1", "(x^5+2)/(x^3+x+1)")
+
+
+def test_fiber_table_matches_factor_degree_reference():
+    # Root counts from the ratios must give the masks and root flags that a
+    # distinct-degree factorization of every P_μ gives.
+    for expr in TABLE_MAPS:
+        for p in filter(is_prime, range(7, 102)):
+            _assert_table_matches_reference(parse_rational_expr(expr, p), 1)
+        for p in (5, 7, 11):
+            _assert_table_matches_reference(parse_rational_expr(expr, p), 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from((5, 7, 11, 13)),
+    num=st.lists(st.integers(0, 12), min_size=1, max_size=7),
+    den=st.lists(st.integers(0, 12), min_size=1, max_size=7),
+)
+def test_fiber_table_matches_reference_on_random_maps(p, num, den):
+    ctx = FieldCtx(p)
+    try:
+        psi = rational_normalize(UniPoly.from_ints(ctx, num), UniPoly.from_ints(ctx, den))
+    except ZeroDenominator:
+        assume(False)
+    assume(not psi.num.is_zero() and max(psi.num.degree, psi.den.degree) >= 2)
+    _assert_table_matches_reference(psi, 1)
+
+
+def test_fiber_table_factors_only_fibers_with_a_large_rootless_part(monkeypatch):
+    calls = []
+
+    def counting(ctx, P):
+        calls.append(P)
+        return _u_ddf(ctx, P)
+
+    monkeypatch.setattr(lambda_scan, "_u_ddf", counting)
+    # n ≤ 3 leaves a rootless part of degree at most 3: no fiber is factored.
+    for expr, p, want in (
+        ("x^2+x", 401, [1]),
+        ("x^3+x", 211, [1, 210]),
+        ("x^3+x", 293, [1, 292]),
+        ("(x^2+1)/(x+2)", 1009, [1]),
+    ):
+        report = exceptional_lambdas(parse_rational_expr(expr, p), p)
+        assert sorted(int(w.lam) for w in report.exceptional) == want, (expr, p)
+    assert calls == []
+    # x^4+x at p = 101: exactly the rootless full-degree squarefree fibers.
+    psi = parse_rational_expr("x^4+x", 101)
+    ctx, f, g, n, ratios = _table_inputs(psi, 1)
+    table = lambda_scan._fiber_table(ctx, f, g, n, ratios)
+    rootless = [mu for mu, (_, linear) in table.items() if not linear]
+    assert not any(
+        ctx.is_zero_raw(_ueval(ctx, f if mu is None else _usub(ctx, g, _uscale(ctx, f, mu)), y))
+        for mu in rootless
+        for y in ctx.elements()
+    )
+    assert len(calls) == len(rootless) == 37
 
 
 def test_quadratic_polynomial_scan_matches_conic_classifier():
