@@ -29,7 +29,6 @@ from .factorization import (
     is_absolutely_irreducible,
     is_irreducible_bivariate,
     perfect_power_exponent,
-    univariate_factor_of,
 )
 from .fields import (
     FieldCtx,
@@ -55,10 +54,8 @@ from .polynomials import (
     BiPoly,
     RationalFunc,
     UniPoly,
-    bipoly_eval,
     poly_gcd,
     rational_compose,
-    rational_eval,
     rational_normalize,
 )
 from .reporting import ReportRow, emit_report
@@ -73,7 +70,6 @@ from .pipeline import (
     run_sweep,
     select_test_levels,
     standard_sweep_cells,
-    subgroup_order_lower_bound,
     support_set,
     value_count_bound,
     trace_proof,

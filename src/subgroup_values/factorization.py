@@ -484,7 +484,7 @@ def _hensel_find_factor(F: BiPoly, x0):
         for j, h in enumerate(base_factors):
             if j != i:
                 qi = _urem(ctx, _umul(ctx, qi, h), g)
-        _, u, _ = _uextgcd(ctx, qi, g)
+        _, u = _uextgcd(ctx, qi, g)
         w.append(_urem(ctx, u, g))
 
     for c in range(1, prec):
@@ -747,32 +747,6 @@ def is_absolutely_irreducible(F: BiPoly, p: int | None = None) -> Irreducibility
         if w is not None:
             return IrreducibilityVerdict(True, False, w, big.t)
     return IrreducibilityVerdict(True, True, None, None)
-
-
-def univariate_factor_of(F: BiPoly) -> UniPoly | None:
-    """A nonconstant univariate divisor (in X, else in Y), or None.
-
-    A divisor depending on X alone must divide every Y-view coefficient, so it
-    exists iff one of the two contents is nonconstant; the content itself is
-    returned.
-    """
-    if F.is_zero():
-        raise ZeroPolynomial("zero polynomial")
-    if F.is_constant():
-        return None
-    if F.deg_y <= 0:
-        ctx = F.ctx
-        return UniPoly(ctx, [F.terms.get((i, 0), ctx.zero_raw) for i in range(F.deg_x + 1)], raw=True)
-    if F.deg_x <= 0:
-        ctx = F.ctx
-        return UniPoly(ctx, [F.terms.get((0, j), ctx.zero_raw) for j in range(F.deg_y + 1)], raw=True)
-    cy = _content_y(F)
-    if cy.degree >= 1:
-        return cy
-    cx = _content_y(F.swap_vars())
-    if cx.degree >= 1:
-        return cx
-    return None
 
 
 # --- perfect powers -----------------------------------------------------------------

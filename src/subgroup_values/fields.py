@@ -3,7 +3,8 @@
 Elements travel in a compact "raw" form: a plain int in [0, p) when t = 1,
 or a length-t tuple of ints (ascending powers of the generator) when t > 1.
 FieldElem wraps a raw value with its context for the public API; hot loops
-call the context methods on raws directly.
+call the context methods on raws directly. F_{p^t} checks its modulus and
+inverts with the polynomials._u* helpers over F_p, the one polynomial layer.
 """
 
 import functools
@@ -94,131 +95,22 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# --- dense int-list polynomial helpers over F_p (modulus bootstrap only) -----
+def _is_irreducible(base, f):
+    """Rabin's test for a monic f of degree t >= 2 over the prime field base:
+    irreducible iff X^(p^t) = X mod f and gcd(X^(p^(t/l)) - X, f) = 1 for
+    every prime l dividing t."""
+    from .polynomials import _ugcd, _upowmod, _usub  # polynomials imports this module
 
-def _lp_strip(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _lp_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = (x - y) % p
-    return _lp_strip(out)
-
-
-def _lp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _lp_strip(out)
-
-
-def _lp_rem(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        c = a[-1]
-        if c:
-            shift = len(a) - 1 - dm
-            for i in range(dm):
-                a[shift + i] = (a[shift + i] - c * m[i]) % p
-        a.pop()
-        _lp_strip(a)
-    return a
-
-
-def _lp_powmod(base, e, m, p):
-    result = [1]
-    b = _lp_rem(base, m, p)
-    while e:
-        if e & 1:
-            result = _lp_rem(_lp_mul(result, b, p), m, p)
-        b = _lp_rem(_lp_mul(b, b, p), m, p)
-        e >>= 1
-    return result
-
-
-def _lp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _lp_rem_general(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _lp_rem_general(a, b, p):
-    # b need not be monic
-    inv = pow(b[-1], -1, p)
-    monic = [c * inv % p for c in b]
-    return _lp_rem(a, monic, p)
-
-
-def _lp_extgcd(a, b, p):
-    # returns (g, u, v) with u*a + v*b = g, g monic (or [] when both zero)
-    r0, r1 = _lp_strip(list(a)), _lp_strip(list(b))
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        inv = pow(r1[-1], -1, p)
-        monic = [c * inv % p for c in r1]
-        # quotient of r0 by r1
-        q = []
-        rem = list(r0)
-        d1 = len(r1) - 1
-        qlen = max(len(rem) - d1, 0)
-        q = [0] * qlen
-        while rem and len(rem) - 1 >= d1:
-            c = rem[-1]
-            shift = len(rem) - 1 - d1
-            qc = c * inv % p
-            q[shift] = qc
-            for i in range(d1 + 1):
-                rem[shift + i] = (rem[shift + i] - qc * r1[i]) % p
-            _lp_strip(rem)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _lp_sub(s0, _lp_mul(q, s1, p), p)
-        t0, t1 = t1, _lp_sub(t0, _lp_mul(q, t1, p), p)
-    if r0:
-        inv = pow(r0[-1], -1, p)
-        r0 = [c * inv % p for c in r0]
-        s0 = [c * inv % p for c in s0]
-        t0 = [c * inv % p for c in t0]
-    return r0, s0, t0
-
-
-def _lp_is_irreducible(f, p):
-    """Irreducibility of a monic f over F_p via the Frobenius fixed-point test."""
-    t = len(f) - 1
-    if t < 1:
-        return False
-    if t == 1:
-        return True
-    x = [0, 1]
+    p, t, x = base.p, len(f) - 1, [0, 1]
     for ell in prime_factors(t):
         g = x
         for _ in range(t // ell):
-            g = _lp_powmod(g, p, f, p)
-        d = _lp_sub(g, x, p)
-        if not d:
-            return False
-        if len(_lp_gcd(d, f, p)) - 1 != 0:
+            g = _upowmod(base, g, p, f)
+        if len(_ugcd(base, _usub(base, g, x), f)) != 1:
             return False
     g = x
     for _ in range(t):
-        g = _lp_powmod(g, p, f, p)
+        g = _upowmod(base, g, p, f)
     return g == x
 
 
@@ -228,7 +120,7 @@ def _lp_is_irreducible(f, p):
 class FieldCtx:
     """Immutable arithmetic context for F_{p^t}; every operation is pure."""
 
-    __slots__ = ("p", "t", "modulus", "q", "_mred")
+    __slots__ = ("p", "t", "modulus", "q", "_mred", "_base")
 
     def __init__(self, p: int, t: int = 1, modulus=None):
         check_prime(p)
@@ -242,16 +134,19 @@ class FieldCtx:
                 raise ValueError("a prime field takes no modulus")
             self.modulus = None
             self._mred = None
+            self._base = None
         else:
             if modulus is None:
                 raise ValueError("an extension field needs a modulus; use ext_field_build")
             m = tuple(int(c) % p for c in modulus)
             if len(m) != t + 1 or m[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {t}")
-            if not _lp_is_irreducible(list(m), p):
+            base = FieldCtx(p)
+            if not _is_irreducible(base, list(m)):
                 raise ValueError("modulus is not irreducible over F_p")
             self.modulus = m
             self._mred = tuple((p - c) % p for c in m[:-1])
+            self._base = base
 
     # -- raw arithmetic (int for t == 1, tuple of ints otherwise) --
 
@@ -315,11 +210,13 @@ class FieldCtx:
             raise ZeroInverse("0 has no inverse")
         if self.t == 1:
             return pow(a, -1, self.p)
-        g, u, _ = _lp_extgcd(list(a), list(self.modulus), self.p)
-        if len(g) != 1:
-            raise ZeroInverse("element is not invertible (modulus not irreducible?)")
-        u = u[: self.t] + [0] * (self.t - len(u))
-        return tuple(u[: self.t])
+        from .polynomials import _uextgcd, _ustrip  # polynomials imports this module
+
+        base = self._base
+        # u*a = 1 mod m as m is irreducible; a must be stripped, as _uextgcd
+        # divides by its leading coefficient
+        _, u = _uextgcd(base, _ustrip(base, list(a)), list(self.modulus))
+        return tuple(u) + (0,) * (self.t - len(u))
 
     def rpow(self, a, e: int):
         if e < 0:
@@ -486,11 +383,11 @@ def ext_field_build(p: int, t: int) -> FieldCtx:
     Candidates x^t + c_{t-1} x^{t-1} + ... + c_0 are ordered by the tuple
     (c_{t-1}, ..., c_0), so repeated builds agree byte for byte.
     """
-    check_prime(p)
+    base = FieldCtx(p)
     if not isinstance(t, int) or t < 1 or t > MAX_EXT_DEGREE:
         raise DegreeTooLarge(f"extension degree must be in 1..{MAX_EXT_DEGREE}, got {t}")
     if t == 1:
-        return FieldCtx(p)
+        return base
     for n in range(p**t):
         digs = []
         rem = n
@@ -498,6 +395,6 @@ def ext_field_build(p: int, t: int) -> FieldCtx:
             digs.append(rem % p)
             rem //= p
         cand = digs + [1]
-        if _lp_is_irreducible(cand, p):
+        if _is_irreducible(base, cand):
             return FieldCtx(p, t, tuple(cand))
     raise AssertionError("no irreducible modulus found (unreachable)")

@@ -176,24 +176,6 @@ def value_count_bound(exp: ExponentSet, p: int, H: int, T: int, C: float = 1.0) 
     )
 
 
-def subgroup_order_lower_bound(exp: ExponentSet, H: int, p: int, variant: str = "rederived") -> float:
-    """Lower bound on #G forced by a full-interval hit count.
-
-    variant="original" evaluates min(H^(2-2tau), H^(1-2rho-2tau) p^(2theta)),
-    the originally stated exponents; variant="rederived" uses 2-2rho-2tau in
-    the second exponent, which is what direct inversion of the main bound at
-    N = H gives. The two disagree and neither is asserted anywhere.
-    """
-    if variant not in ("original", "rederived"):
-        raise BadRange(f"variant must be 'original' or 'rederived', got {variant!r}")
-    first = H ** float(2 - 2 * exp.tau)
-    if variant == "original":
-        second = H ** float(1 - 2 * exp.rho - 2 * exp.tau) * p ** float(2 * exp.theta)
-    else:
-        second = H ** float(2 - 2 * exp.rho - 2 * exp.tau) * p ** float(2 * exp.theta)
-    return min(first, second)
-
-
 def reduce_perfect_power(psi: RationalFunc, T: int):
     """Rewrite a perfect power ψ = φ^n as (φ, n T): membership of ψ(x) in a
     subgroup of order T forces φ(x) into one of order at most n T."""

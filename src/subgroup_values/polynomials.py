@@ -2,8 +2,9 @@
 
 Coefficients are stored in raw form (see fields); the module-private _u*
 helpers work on plain lists of raws so factorization and lifting loops avoid
-object overhead. Degree of the zero polynomial is the NEG_INF sentinel, which
-keeps max/min degree formulas total.
+object overhead. They are the one polynomial layer: fields also builds and
+inverts in F_{p^t} with them over F_p. Degree of the zero polynomial is the
+NEG_INF sentinel, which keeps max/min degree formulas total.
 """
 
 from .errors import (
@@ -108,21 +109,18 @@ def _ugcd(ctx, a, b):
 
 
 def _uextgcd(ctx, a, b):
-    """(g, u, v) with u*a + v*b = g and g monic."""
+    """(g, u) with g = gcd(a, b) monic and u*a = g mod b; a and b stripped."""
     r0, r1 = list(a), list(b)
     s0, s1 = [ctx.one_raw], []
-    t0, t1 = [], [ctx.one_raw]
     while r1:
         q, r = _udivmod(ctx, r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, _usub(ctx, s0, _umul(ctx, q, s1))
-        t0, t1 = t1, _usub(ctx, t0, _umul(ctx, q, t1))
     if r0:
         inv = ctx.rinv(r0[-1])
         r0 = _uscale(ctx, r0, inv)
         s0 = _uscale(ctx, s0, inv)
-        t0 = _uscale(ctx, t0, inv)
-    return r0, s0, t0
+    return r0, s0
 
 
 def _ueval(ctx, f, x):
@@ -589,10 +587,6 @@ class BiPoly:
         return f"BiPoly({sorted(self.terms.items())!r} over {self.ctx!r})"
 
 
-def bipoly_eval(F: BiPoly, x, y) -> FieldElem:
-    return F.eval(x, y)
-
-
 # --- rational functions -----------------------------------------------------------
 
 
@@ -700,10 +694,6 @@ def rational_normalize(f: UniPoly, g: UniPoly) -> RationalFunc:
     f = f * FieldElem(ctx, lc_inv)
     g = g * FieldElem(ctx, lc_inv)
     return RationalFunc(f, g, normalized=True)
-
-
-def rational_eval(psi: RationalFunc, x) -> FieldElem:
-    return psi.eval(x)
 
 
 def rational_compose(R: RationalFunc, F: RationalFunc) -> RationalFunc:

@@ -21,7 +21,6 @@ from subgroup_values.factorization import (
     is_irreducible_bivariate,
     perfect_power_exponent,
     extract_power_root,
-    univariate_factor_of,
 )
 from subgroup_values.fields import FieldCtx, ext_field_build, is_prime, prime_factors
 from subgroup_values.lambda_scan import build_sym_poly
@@ -104,11 +103,11 @@ def test_factor_univariate_over_extension():
 # --- univariate divisors of bivariate polynomials ------------------------------
 
 
-def test_univariate_factor_of_examples():
-    assert univariate_factor_of(B(F7, {(1, 1): 1, (1, 0): 1})) == P(F7, 0, 1)  # XY + X -> X
-    assert univariate_factor_of(B(F7, {(1, 0): 1, (0, 1): -1})) is None  # X - Y
+def test_find_proper_factor_returns_univariate_content():
+    assert find_proper_factor(B(F7, {(1, 1): 1, (1, 0): 1})) == B(F7, {(1, 0): 1})  # XY + X -> X
+    assert find_proper_factor(B(F7, {(1, 0): 1, (0, 1): -1})) is None  # X - Y
     G = B(F2, {(1, 0): 1, (0, 0): 1}) * B(F2, {(0, 2): 1, (0, 1): 1, (0, 0): 1})
-    assert univariate_factor_of(G) == P(F2, 1, 1)
+    assert find_proper_factor(G) == B(F2, {(1, 0): 1, (0, 0): 1})
 
 
 def test_cross_combination_has_no_univariate_factor():
@@ -148,7 +147,11 @@ def test_cross_combination_has_no_univariate_factor():
         F = term1 - term2
         if F.is_zero():
             continue
-        assert univariate_factor_of(F) is None
+        # the content branch of find_proper_factor runs first, so a proper
+        # factor depending on one variable alone would be returned here
+        assert F.deg_x >= 1 and F.deg_y >= 1
+        w = find_proper_factor(F)
+        assert w is None or (w.deg_x >= 1 and w.deg_y >= 1)
         trials += 1
     assert trials >= 150
 

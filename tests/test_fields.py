@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,8 @@ from subgroup_values.fields import (
     mod_inverse,
     signed_residue,
 )
+from subgroup_values.factorization import factor_univariate
+from subgroup_values.polynomials import UniPoly
 
 
 def test_mod_inverse_examples():
@@ -95,6 +99,56 @@ def test_ext_field_build_deterministic():
     a = ext_field_build(7, 3)
     b = ext_field_build(7, 3)
     assert a == b and a.modulus == b.modulus
+
+
+@pytest.mark.parametrize(
+    "p,t", [(p, t) for p in (2, 3, 5, 7, 11) for t in (2, 3, 4)] + [(2, 5), (2, 6)]
+)
+def test_ext_field_build_picks_first_irreducible_candidate(p, t):
+    # DDF/EDF factoring over F_p is the oracle, independent of the Rabin test;
+    # candidates run in the documented order, by (c_{t-1}, ..., c_0)
+    base = FieldCtx(p)
+    for n in range(p**t):
+        cand = tuple((n // p**i) % p for i in range(t)) + (1,)
+        fm = factor_univariate(UniPoly.from_ints(base, cand))
+        if len(fm.factors) == 1 and fm.factors[0][1] == 1:
+            assert ext_field_build(p, t).modulus == cand
+            return
+    raise AssertionError(f"no irreducible modulus of degree {t} over F_{p}")
+
+
+def test_field_ctx_rejects_bad_moduli():
+    F2, F3 = FieldCtx(2), FieldCtx(3)
+    assert FieldCtx(3, 2, (1, 0, 1)).modulus == (1, 0, 1)
+    with pytest.raises(ValueError):
+        FieldCtx(3, 2, (1, 0, 2))  # 2X^2 + 1 is not monic
+    with pytest.raises(ValueError):
+        FieldCtx(3, 2, (1, 0, 1, 0))  # wrong degree
+    bad = [
+        (3, UniPoly.from_ints(F3, (1, 0, 1)) ** 2),  # square of an irreducible
+        # (X^2+1)(X^2+X+2): no root, factors of degree 2 | 4
+        (3, UniPoly.from_ints(F3, (1, 0, 1)) * UniPoly.from_ints(F3, (2, 1, 1))),
+        # X^5+X+1 = (X^2+X+1)(X^3+X^2+1): no root, and no factor degree divides 5
+        (2, UniPoly.from_ints(F2, (1, 1, 1)) * UniPoly.from_ints(F2, (1, 0, 1, 1))),
+    ]
+    for p, m in bad:
+        assert factor_univariate(m).factors != ((m, 1),)
+        with pytest.raises(ValueError):
+            FieldCtx(p, m.degree, m.coeffs)
+
+
+@pytest.mark.parametrize("p,t", [(2, 2), (2, 8), (2, 12), (3, 5), (5, 4), (13, 2), (4409, 2)])
+def test_extension_inverse(p, t):
+    ctx = ext_field_build(p, t)
+    rng = random.Random(p * 100 + t)
+    units = [tuple(rng.randrange(p) for _ in range(t)) for _ in range(200)]
+    # (c, 0, ..., 0) has trailing zeros that the inverse must strip
+    units += [ctx.from_int(c) for c in range(1, p)]
+    units += [(0,) * (t - 1) + (c,) for c in range(1, p)]
+    for a in units:
+        if ctx.is_zero_raw(a):
+            continue
+        assert ctx.rmul(a, ctx.rinv(a)) == ctx.one_raw, a
 
 
 def test_f4_multiplication():

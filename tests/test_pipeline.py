@@ -21,7 +21,6 @@ from subgroup_values.pipeline import (
     run_sweep,
     select_test_levels,
     standard_sweep_cells,
-    subgroup_order_lower_bound,
     support_set,
     value_count_bound,
     trace_proof,
@@ -120,19 +119,6 @@ def test_value_count_bound_examples():
     assert value_count_bound(exp, 101, 4, 0) == 0.0
     b = value_count_bound(exp, 101, 1, 9)
     assert b == pytest.approx((1 + 101 ** (-1 / 8)) * 3.0)
-
-
-def test_subgroup_order_lower_bound_examples():
-    exp = exponent_set(2, 0)
-    H, p = 5, 101
-    re = subgroup_order_lower_bound(exp, H, p, "rederived")
-    assert re == pytest.approx(min(H ** 1.5, p ** 0.25))
-    pa = subgroup_order_lower_bound(exp, H, p, "original")
-    assert pa == pytest.approx(min(H ** 1.5, H ** (-1.0) * p ** 0.25))
-    assert subgroup_order_lower_bound(exp, 1, p, "original") == 1.0
-    assert subgroup_order_lower_bound(exp, 1, p, "rederived") == 1.0
-    with pytest.raises(BadRange):
-        subgroup_order_lower_bound(exp, H, p, "mystery")
 
 
 def test_reduce_perfect_power_examples():

@@ -12,10 +12,8 @@ from subgroup_values.fields import NEG_INF, FieldCtx
 from subgroup_values.polynomials import (
     BiPoly,
     UniPoly,
-    bipoly_eval,
     poly_gcd,
     rational_compose,
-    rational_eval,
     rational_normalize,
 )
 
@@ -153,29 +151,29 @@ def test_rational_compose_eval_morphism():
 
 def test_rational_eval_examples():
     psi = rational_normalize(P(F7, 0, 0, 1), P(F7, 1))
-    assert rational_eval(psi, 3) == F7.el(2)
+    assert psi.eval(3) == F7.el(2)
 
     inv = rational_normalize(P(F7, 1), P(F7, 0, 1))
     with pytest.raises(PoleAt):
-        rational_eval(inv, 0)
+        inv.eval(0)
 
     f5psi = rational_normalize(P(F5, 1, 1), P(F5, -1, 1))
     with pytest.raises(PoleAt):
-        rational_eval(f5psi, 1)
+        f5psi.eval(1)
 
 
 def test_bipoly_eval_examples():
     ctx = F7
     xy = BiPoly(ctx, {(1, 0): 1, (0, 1): -1})  # X - Y
-    assert bipoly_eval(xy, 2, 2).is_zero()
+    assert xy.eval(2, 2).is_zero()
 
     F = BiPoly(ctx, {(2, 0): 1, (1, 0): 1, (0, 2): -1, (0, 1): -1})
-    assert bipoly_eval(F, 3, 4) == ctx.el(6)
+    assert F.eval(3, 4) == ctx.el(6)
 
     # anything with the factor (X - Y) vanishes on the diagonal
     G = xy * BiPoly(ctx, {(1, 1): 3, (0, 0): 5})
     for v in range(7):
-        assert bipoly_eval(G, v, v).is_zero()
+        assert G.eval(v, v).is_zero()
 
 
 def test_bipoly_try_divide():
