@@ -55,7 +55,6 @@ from .polynomials import (
     RationalFunc,
     UniPoly,
     poly_gcd,
-    rational_compose,
     rational_normalize,
 )
 from .reporting import ReportRow, emit_report

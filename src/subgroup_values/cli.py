@@ -9,7 +9,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import factorization
@@ -22,6 +21,7 @@ from .counting import (
     vinogradov_count,
 )
 from .errors import ParseError, SubgroupValuesError
+from .fields import centered_residue
 from .lambda_scan import exceptional_lambdas
 from .lattices import SmallResidueInstance, find_small_residue_multiplier
 from .parsing import parse_int_bipoly, parse_poly_expr, parse_rational_expr
@@ -49,14 +49,6 @@ SUBCOMMANDS = (
 )
 
 
-@dataclass
-class CliConfig:
-    subcommand: str
-    fmt: str
-    output: str | None
-    args: argparse.Namespace
-
-
 def _parse_interval(text: str):
     """Closed range "a..b" -> (u, H) with u = a - 1, H = b - a + 1."""
     parts = text.split("..")
@@ -75,9 +67,7 @@ def _parse_num_list(text: str, allow_fraction: bool = False):
     out = []
     for piece in text.split(","):
         piece = piece.strip()
-        if allow_fraction and "/" in piece:
-            out.append(Fraction(piece))
-        elif allow_fraction and "." in piece:
+        if allow_fraction and ("/" in piece or "." in piece):
             out.append(Fraction(piece))
         else:
             out.append(int(piece))
@@ -164,33 +154,31 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit_pairs(pairs, cfg: CliConfig) -> None:
-    text = mapping_to_output(pairs, cfg.fmt)
-    if cfg.output:
-        with open(cfg.output, "w", newline="") as fh:
+def _emit_pairs(pairs, a: argparse.Namespace) -> None:
+    text = mapping_to_output(pairs, a.format)
+    if a.output:
+        with open(a.output, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _cmd_count(cfg):
-    a = cfg.args
+def _cmd_count(a):
     u, H = _parse_interval(a.interval)
     psi = parse_rational_expr(a.psi, a.p)
     G = subgroup_of_order(a.p, a.T)
     n, _ = count_values_in_subgroup(psi, Interval(u, H, wrap=a.wrap), G)
-    if cfg.fmt == "text":
-        _emit_pairs([("N", n)], cfg)
+    if a.format == "text":
+        _emit_pairs([("N", n)], a)
     else:
         _emit_pairs(
             [("p", a.p), ("d", psi.num.degree), ("e", psi.den.degree),
              ("H", H), ("T", a.T), ("u", u), ("N", n)],
-            cfg,
+            a,
         )
 
 
-def _cmd_lambda_scan(cfg):
-    a = cfg.args
+def _cmd_lambda_scan(a):
     psi = parse_rational_expr(a.psi, a.p)
     report = exceptional_lambdas(psi, a.p, max_ext=a.max_ext)
     entries = []
@@ -201,24 +189,20 @@ def _cmd_lambda_scan(cfg):
     _emit_pairs(
         [("p", a.p), ("psi", psi.text()), ("degree", psi.D), ("bound", report.bound),
          ("count", report.count), ("lambdas", ";".join(entries))],
-        cfg,
+        a,
     )
 
 
-def _cmd_lattice_find(cfg):
-    a = cfg.args
+def _cmd_lattice_find(a):
     b = _parse_num_list(a.b)
     V = _parse_num_list(a.V, allow_fraction=True)
     inst = SmallResidueInstance(a.p, tuple(b), tuple(V))
     v = find_small_residue_multiplier(inst)
-    from .fields import centered_residue
-
     residues = ";".join(str(centered_residue(bi * v, a.p)) for bi in b)
-    _emit_pairs([("p", a.p), ("s", inst.s), ("v", v), ("residues", residues)], cfg)
+    _emit_pairs([("p", a.p), ("s", inst.s), ("v", v), ("residues", residues)], a)
 
 
-def _cmd_perfect_power(cfg):
-    a = cfg.args
+def _cmd_perfect_power(a):
     psi = parse_rational_expr(a.psi, a.p)
     n = factorization.perfect_power_exponent(psi)
     pairs = [("psi", psi.text()), ("p", a.p), ("exponent", n)]
@@ -228,21 +212,19 @@ def _cmd_perfect_power(cfg):
     if a.T is not None:
         _, reduced = reduce_perfect_power(psi, a.T)
         pairs.append(("reduced_order", reduced))
-    _emit_pairs(pairs, cfg)
+    _emit_pairs(pairs, a)
 
 
-def _cmd_exponents(cfg):
-    a = cfg.args
+def _cmd_exponents(a):
     e = exponent_set(a.d, a.e)
     _emit_pairs(
         [("d", e.d), ("e", e.e), ("ell", e.ell), ("m", e.m), ("k", e.k), ("s", e.s),
          ("theta", e.theta), ("rho", e.rho), ("tau", e.tau)],
-        cfg,
+        a,
     )
 
 
-def _cmd_trace(cfg):
-    a = cfg.args
+def _cmd_trace(a):
     psi = parse_rational_expr(a.psi, a.p)
     tr = trace_proof(psi, a.p, a.H, a.T)
     _emit_pairs(
@@ -251,12 +233,11 @@ def _cmd_trace(cfg):
          ("pair_count", tr.pair_count), ("multiplier", tr.multiplier),
          ("z_max", tr.z_max), ("z_magnitude", tr.z_magnitude),
          ("bound", tr.bound), ("ratio", tr.ratio), ("rt_ok", tr.rt_ok)],
-        cfg,
+        a,
     )
 
 
-def _cmd_sweep(cfg):
-    a = cfg.args
+def _cmd_sweep(a):
     if a.standard == (a.config is not None):
         raise SubgroupValuesError("pass exactly one of --standard or --config")
     if a.standard:
@@ -270,34 +251,31 @@ def _cmd_sweep(cfg):
     if jobs is None:
         jobs = int(os.environ.get("SUBGROUP_VALUES_THREADS", "1"))
     rows = run_sweep(cells, jobs=max(jobs, 1))
-    text = emit_report(rows, fmt=cfg.fmt if cfg.fmt != "text" else "text", path=cfg.output)
-    if not cfg.output:
+    text = emit_report(rows, fmt=a.format, path=a.output)
+    if not a.output:
         sys.stdout.write(text)
 
 
-def _cmd_kshort(cfg):
-    a = cfg.args
+def _cmd_kshort(a):
     f = parse_poly_expr(a.psi, a.p)
     if isinstance(f, UniPoly):
         f = rational_normalize(f, UniPoly.one(f.ctx))
     k = shortest_covering_interval(f, a.H, a.p, wrap=a.wrap)
-    _emit_pairs([("p", a.p), ("psi", f.text()), ("H", a.H), ("wrap", a.wrap), ("K", k)], cfg)
+    _emit_pairs([("p", a.p), ("psi", f.text()), ("H", a.H), ("wrap", a.wrap), ("K", k)], a)
 
 
-def _cmd_vinogradov(cfg):
-    a = cfg.args
+def _cmd_vinogradov(a):
     j = vinogradov_count(a.d, a.k, a.H, budget=a.budget)
-    _emit_pairs([("d", a.d), ("k", a.k), ("H", a.H), ("count", j)], cfg)
+    _emit_pairs([("d", a.d), ("k", a.k), ("H", a.H), ("count", j)], a)
 
 
-def _cmd_points(cfg):
-    a = cfg.args
+def _cmd_points(a):
     terms = parse_int_bipoly(a.poly)
     res = integral_points_in_box(terms, a.H)
     _emit_pairs(
         [("poly", a.poly), ("H", a.H), ("count", res.count),
          ("degree", res.curve_degree), ("reference", res.reference)],
-        cfg,
+        a,
     )
 
 
@@ -321,18 +299,9 @@ def cmd_dispatch(argv) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as ex:
         return ex.code if isinstance(ex.code, int) else 2
-    cfg = CliConfig(
-        subcommand=ns.subcommand,
-        fmt=getattr(ns, "format", "text"),
-        output=getattr(ns, "output", None),
-        args=ns,
-    )
     try:
-        _HANDLERS[cfg.subcommand](cfg)
-    except SubgroupValuesError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as ex:
+        _HANDLERS[ns.subcommand](ns)
+    except (SubgroupValuesError, ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
     return 0

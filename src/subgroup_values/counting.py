@@ -15,7 +15,8 @@ from .errors import (
     PreconditionViolated,
     ZeroLambda,
 )
-from .fields import check_prime, prime_factors
+from .factorization import _u_roots
+from .fields import FieldCtx, check_prime, is_prime, prime_factors
 from .polynomials import RationalFunc, UniPoly, rational_normalize
 
 
@@ -244,8 +245,6 @@ def _eval_int_bipoly(terms: dict, x: int, y: int) -> int:
 
 
 def _next_prime_above(n: int) -> int:
-    from .fields import is_prime
-
     c = n + 1
     while not is_prime(c):
         c += 1
@@ -255,9 +254,6 @@ def _next_prime_above(n: int) -> int:
 def _roots_mod(coeffs: list, P: int) -> list:
     """Roots in F_P of a nonzero integer-coefficient polynomial, via the field
     factorization machinery."""
-    from .factorization import _u_roots
-    from .fields import FieldCtx
-
     ctx = FieldCtx(P)
     f = [c % P for c in coeffs]
     while f and f[-1] == 0:

@@ -49,10 +49,6 @@ class ZeroDenominator(SubgroupValuesError):
     pass
 
 
-class DegreeLawViolation(SubgroupValuesError):
-    """Composition degree check failed; signals an implementation bug."""
-
-
 class PoleAt(SubgroupValuesError):
     def __init__(self, x):
         super().__init__(f"pole at x = {x}")

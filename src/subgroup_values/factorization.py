@@ -316,11 +316,11 @@ def embed_bipoly(F: BiPoly, dst: FieldCtx) -> BiPoly:
 # --- bivariate machinery ----------------------------------------------------------
 
 
-def _content_y(F: BiPoly) -> UniPoly:
-    """gcd over F_q[X] of the Y-view coefficients (monic; zero for F = 0)."""
-    ctx = F.ctx
+def _content_y(ctx, rows) -> UniPoly:
+    """gcd over F_q[X] of a Y-view (list of UniPoly); monic, zero when every
+    row is zero."""
     acc = []
-    for row in F.to_y_view():
+    for row in rows:
         if not row.is_zero():
             acc = _ugcd(ctx, acc, list(row.coeffs))
             if len(acc) - 1 == 0:
@@ -336,15 +336,9 @@ def _primitive_y(ctx, rows):
         rows.pop()
     if not rows:
         return rows
-    cont = []
-    for r in rows:
-        if not r.is_zero():
-            cont = _ugcd(ctx, cont, list(r.coeffs))
-            if len(cont) - 1 == 0:
-                break
-    if len(cont) - 1 >= 1:
-        contp = UniPoly(ctx, cont, raw=True)
-        rows = [r // contp if not r.is_zero() else r for r in rows]
+    cont = _content_y(ctx, rows)
+    if cont.degree >= 1:
+        rows = [r // cont if not r.is_zero() else r for r in rows]
     lc = rows[-1].lc
     if lc != ctx.one_raw:
         inv = FieldElem(ctx, ctx.rinv(lc))
@@ -626,16 +620,13 @@ def find_proper_factor(F: BiPoly):
             return None
         return BiPoly.from_unipoly_x(fm.factors[0][0])
     if F.deg_x <= 0:
-        f = UniPoly(ctx, [F.terms.get((0, j), ctx.zero_raw) for j in range(F.deg_y + 1)], raw=True)
-        fm = factor_univariate(f)
-        if len(fm.factors) == 1 and fm.factors[0][1] == 1:
-            return None
-        return BiPoly.from_unipoly_y(fm.factors[0][0])
+        w = find_proper_factor(F.swap_vars())
+        return w.swap_vars() if w is not None else None
 
-    cy = _content_y(F)
+    cy = _content_y(ctx, F.to_y_view())
     if cy.degree >= 1:
         return BiPoly.from_unipoly_x(cy)
-    cx = _content_y(F.swap_vars())
+    cx = _content_y(ctx, F.swap_vars().to_y_view())
     if cx.degree >= 1:
         return BiPoly.from_unipoly_y(cx)
 
@@ -778,16 +769,15 @@ def extract_power_root(psi: RationalFunc, n: int) -> RationalFunc:
     if n == 1:
         return psi
     ctx = psi.ctx
-    num_root = [ctx.one_raw]
-    for g, mult in _u_sqfree(ctx, _umonic(ctx, list(psi.num.coeffs))):
-        assert mult % n == 0
-        for _ in range(mult // n):
-            num_root = _umul(ctx, num_root, g)
-    den_root = [ctx.one_raw]
-    for g, mult in _u_sqfree(ctx, _umonic(ctx, list(psi.den.coeffs))):
-        assert mult % n == 0
-        for _ in range(mult // n):
-            den_root = _umul(ctx, den_root, g)
+    roots = []
+    for poly in (psi.num, psi.den):
+        root = [ctx.one_raw]
+        for g, mult in _u_sqfree(ctx, _umonic(ctx, list(poly.coeffs))):
+            assert mult % n == 0
+            for _ in range(mult // n):
+                root = _umul(ctx, root, g)
+        roots.append(root)
+    num_root, den_root = roots
     a = psi.num.lc
     for u in range(1, MAX_EXT_DEGREE + 1):
         target = ext_field_build(ctx.p, ctx.t * u) if u > 1 else ctx

@@ -28,33 +28,32 @@ NODE_BUDGET = 10**8
 V_SCAN_LIMIT = 10**6
 
 
-# --- exact linear algebra helpers ---------------------------------------------
+# --- exact Gram-Schmidt ---------------------------------------------------------
 
 
-def _bareiss_det(rows) -> int:
-    """Exact determinant of a square integer matrix (fraction-free)."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
+def _gram_schmidt(cols):
+    """Integral Gram-Schmidt state (d, lam) of linearly independent cols.
+
+    d[i] is the Gram determinant of the first i vectors (so |b*_i|^2 =
+    d[i+1] / d[i]) and lam[i][j] = d[j+1] * mu[i][j] for j < i, all exact
+    integers (Cohen, Alg. 2.6.7). Raises RankDeficient at the first dependent
+    vector, before any division by its zero d.
+    """
+    n = len(cols)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(cols[k], cols[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
             else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _gram(cols):
-    return [[sum(a * b for a, b in zip(u, v)) for v in cols] for u in cols]
+                d[k + 1] = u
+        if d[k + 1] == 0:
+            raise RankDeficient("columns are linearly dependent")
+    return d, lam
 
 
 @dataclass(frozen=True)
@@ -75,10 +74,8 @@ class LatticeBasis:
             raise ValueError("columns of unequal length")
         if len(cols) > len(cols[0]):
             raise RankDeficient("more columns than ambient dimensions")
-        gd = _bareiss_det(_gram(cols))
-        if gd == 0:
-            raise RankDeficient("columns are linearly dependent")
-        object.__setattr__(self, "gram_det", gd)
+        d, _ = _gram_schmidt(cols)
+        object.__setattr__(self, "gram_det", d[-1])
 
     @property
     def rank(self) -> int:
@@ -90,9 +87,8 @@ class LatticeBasis:
 
 
 def lattice_volume(B: LatticeBasis):
-    """Exact |det| for a square basis; sqrt of the exact Gram determinant otherwise."""
-    if B.rank == B.dim:
-        return abs(_bareiss_det([[c[i] for c in B.cols] for i in range(B.dim)]))
+    """Exact sqrt of the Gram determinant when it is a square, as it is for a
+    square basis (|det|); its float sqrt otherwise."""
     gd = B.gram_det
     r = math.isqrt(gd)
     return r if r * r == gd else math.sqrt(gd)
@@ -106,25 +102,13 @@ def _lll_reduce(cols):
     Algebraic Number Theory, Alg. 2.6.7).
 
     Returns (reduced, U, d, lam) with reduced[i] = sum_j U[i][j] * cols[j].
-    The Gram-Schmidt state of the reduced basis is kept in exact integers and
-    updated in place on every size reduction and swap: d[i] is the Gram
-    determinant of the first i vectors (so |b*_i|^2 = d[i+1] / d[i]) and
-    lam[i][j] = d[j+1] * mu[i][j] for j < i.
+    The Gram-Schmidt state (d, lam) of _gram_schmidt is kept for the reduced
+    basis, updated in place on every size reduction and swap.
     """
     n = len(cols)
     b = [list(c) for c in cols]
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    for k in range(n):
-        for j in range(k + 1):
-            u = sum(x * y for x, y in zip(b[k], b[j]))
-            for i in range(j):
-                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-            if j < k:
-                lam[k][j] = u
-            else:
-                d[k + 1] = u
+    d, lam = _gram_schmidt(b)
     k = 1
     steps = 0
     while k < n:

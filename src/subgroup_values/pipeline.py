@@ -31,7 +31,7 @@ from .errors import (
 )
 from .factorization import extract_power_root, perfect_power_exponent
 from .fields import signed_residue
-from .lambda_scan import exceptional_lambdas
+from .lambda_scan import build_sym_poly, exceptional_lambdas
 from .lattices import MAX_ENUM_DIM, SmallResidueInstance, find_small_residue_multiplier
 from .parsing import parse_rational_expr
 from .polynomials import RationalFunc
@@ -278,8 +278,6 @@ def trace_proof(psi: RationalFunc, p: int, H: int, T: int, exceptional=None) -> 
     rt_ok = Fraction(len(best_pairs)) >= rt_lower
 
     support = support_set(exp.ell, exp.m)
-    from .lambda_scan import build_sym_poly  # local import avoids a cycle
-
     sym = build_sym_poly(psi, best_lam)
     b_vec = tuple(int(sym.terms.get(pair, 0)) for pair in support.pairs)
     inst = SmallResidueInstance(

@@ -10,7 +10,6 @@ NEG_INF sentinel, which keeps max/min degree formulas total.
 from .errors import (
     BothZero,
     CtxMismatch,
-    DegreeLawViolation,
     PoleAt,
     ZeroDenominator,
     ZeroPolynomial,
@@ -207,10 +206,6 @@ class UniPoly:
         return cls(ctx, (ctx.one_raw,), raw=True)
 
     @classmethod
-    def constant(cls, ctx, c):
-        return cls(ctx, (c,))
-
-    @classmethod
     def x(cls, ctx):
         return cls(ctx, (ctx.zero_raw, ctx.one_raw), raw=True)
 
@@ -280,9 +275,6 @@ class UniPoly:
 
     def monic(self):
         return UniPoly(self.ctx, _umonic(self.ctx, list(self.coeffs)), raw=True)
-
-    def derivative(self):
-        return UniPoly(self.ctx, _uderiv(self.ctx, list(self.coeffs)), raw=True)
 
     def eval_raw(self, x_raw):
         return _ueval(self.ctx, self.coeffs, x_raw)
@@ -619,14 +611,6 @@ class RationalFunc:
         return self.den.degree
 
     @property
-    def ell(self):
-        return min(self.d, self.e)
-
-    @property
-    def m(self):
-        return max(self.d, self.e)
-
-    @property
     def D(self):
         return max(self.d, self.e)
 
@@ -695,43 +679,3 @@ def rational_normalize(f: UniPoly, g: UniPoly) -> RationalFunc:
     g = g * FieldElem(ctx, lc_inv)
     return RationalFunc(f, g, normalized=True)
 
-
-def rational_compose(R: RationalFunc, F: RationalFunc) -> RationalFunc:
-    """R(F(X)), normalized; checks deg(R o F) = deg R * deg F when F is nonconstant."""
-    if R.ctx != F.ctx:
-        raise CtxMismatch("operands over different fields")
-    ctx = R.ctx
-    if F.is_constant():
-        # evaluate R at the constant value of F
-        c = F.eval(0)
-        gv = R.den.eval(c)
-        if gv.is_zero():
-            raise PoleAt(c.raw)
-        val = R.num.eval(c) / gv
-        return RationalFunc(UniPoly(ctx, (val.raw,), raw=True), UniPoly.one(ctx), normalized=True)
-    u, v = F.num, F.den
-    dn = R.num.degree if not R.num.is_zero() else 0
-    big = max(dn, R.den.degree)
-    num = UniPoly.zero(ctx)
-    den = UniPoly.zero(ctx)
-    u_pows = [UniPoly.one(ctx)]
-    v_pows = [UniPoly.one(ctx)]
-    for _ in range(big):
-        u_pows.append(u_pows[-1] * u)
-        v_pows.append(v_pows[-1] * v)
-    for i, c in enumerate(R.num.coeffs):
-        if not ctx.is_zero_raw(c):
-            num = num + (u_pows[i] * v_pows[big - i]) * FieldElem(ctx, c)
-    for j, c in enumerate(R.den.coeffs):
-        if not ctx.is_zero_raw(c):
-            den = den + (u_pows[j] * v_pows[big - j]) * FieldElem(ctx, c)
-    if den.is_zero():
-        raise ZeroDenominator("composition denominator vanished")
-    out = rational_normalize(num, den)
-    expected = (R.D if not R.is_constant() else 0) * (F.D if not F.is_constant() else 0)
-    got = out.D if not out.is_constant() else 0
-    if got != expected:
-        raise DegreeLawViolation(
-            f"deg(R o F) = {got}, expected deg R * deg F = {expected}"
-        )
-    return out

@@ -48,32 +48,31 @@ def format_value(v) -> str:
     return str(v)
 
 
-def _row_cells(row: ReportRow) -> list:
-    return [format_value(getattr(row, k)) for k in CSV_HEADER]
+def _json_value(v):
+    """A cell as JSON: rationals as "num/den", reals rounded like format_value."""
+    if isinstance(v, Fraction):
+        return format_value(v)
+    if isinstance(v, float):
+        return float(format_value(v))
+    return v
 
 
-def rows_to_csv(rows) -> str:
+def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_HEADER)
-    for row in rows:
-        w.writerow(_row_cells(row))
+    w.writerow(header)
+    w.writerows(rows)
     return buf.getvalue()
 
 
+def rows_to_csv(rows) -> str:
+    cells = ([format_value(getattr(row, k)) for k in CSV_HEADER] for row in rows)
+    return _csv_text(CSV_HEADER, cells)
+
+
 def rows_to_json(rows) -> str:
-    out = []
-    for row in rows:
-        obj = {}
-        for k in CSV_HEADER:
-            v = getattr(row, k)
-            if isinstance(v, Fraction):
-                v = format_value(v)
-            elif isinstance(v, float):
-                v = float(format_value(v))
-            obj[k] = v
-        out.append(obj)
-    return json.dumps(out, indent=2, sort_keys=False) + "\n"
+    out = [{k: _json_value(getattr(row, k)) for k in CSV_HEADER} for row in rows]
+    return json.dumps(out, indent=2) + "\n"
 
 
 def rows_to_text(rows) -> str:
@@ -107,20 +106,9 @@ def emit_report(rows, fmt: str = "csv", path: str | None = None) -> str:
 def mapping_to_output(pairs, fmt: str) -> str:
     """Render an ordered list of (key, value) pairs for the simple subcommands."""
     if fmt == "json":
-        obj = {}
-        for k, v in pairs:
-            if isinstance(v, Fraction):
-                v = format_value(v)
-            elif isinstance(v, float):
-                v = float(format_value(v))
-            obj[k] = v
-        return json.dumps(obj, indent=2) + "\n"
+        return json.dumps({k: _json_value(v) for k, v in pairs}, indent=2) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow([k for k, _ in pairs])
-        w.writerow([format_value(v) for _, v in pairs])
-        return buf.getvalue()
+        return _csv_text([k for k, _ in pairs], [[format_value(v) for _, v in pairs]])
     if fmt == "text":
         return "".join(f"{k} = {format_value(v)}\n" for k, v in pairs)
     raise ValueError(f"unknown format {fmt!r}")

@@ -51,19 +51,6 @@ class Surd:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = Surd._lift(other)
-        if o.radicand == 0:
-            raise ZeroDivisionError("division by zero")
-        n = math.lcm(self.index, o.index)
-        rad = self.radicand ** (n // self.index) / o.radicand ** (n // o.index)
-        return Surd(rad, n)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return Surd(1) / self**-e
-        return Surd(self.radicand**e, self.index)
-
     def _cmp(self, other) -> int:
         o = Surd._lift(other)
         left = self.radicand ** o.index

@@ -110,6 +110,18 @@ def test_find_proper_factor_returns_univariate_content():
     assert find_proper_factor(G) == B(F2, {(1, 0): 1, (0, 0): 1})
 
 
+@pytest.mark.parametrize("ctx, coeffs", [(F7, (-1, 0, 1)), (F7, (1, 0, 1)), (F5, (0, 0, 1))])
+def test_find_proper_factor_pure_y_mirrors_pure_x(ctx, coeffs):
+    # Y^2 - 1 and Y^2 + 1 over F_7, Y^2 over F_5, against the same polynomials in X
+    fx = B(ctx, {(i, 0): c for i, c in enumerate(coeffs)})
+    fy = B(ctx, {(0, j): c for j, c in enumerate(coeffs)})
+    wx, wy = find_proper_factor(fx), find_proper_factor(fy)
+    assert (wx is None) == (wy is None)
+    if wx is not None:
+        assert wy == wx.swap_vars() and wy.deg_x == 0 and 1 <= wy.deg_y < fy.deg_y
+    assert (wy is None) == (coeffs == (1, 0, 1))
+
+
 def test_cross_combination_has_no_univariate_factor():
     rng = random.Random(99)
     ctx = F7

@@ -15,7 +15,6 @@ from subgroup_values.fields import centered_residue, is_prime
 from subgroup_values.lattices import (
     LatticeBasis,
     SmallResidueInstance,
-    _bareiss_det,
     _lll_reduce,
     build_red_basis,
     find_small_residue_multiplier,
@@ -34,6 +33,56 @@ def test_lattice_volume_examples():
 def test_lattice_volume_rank_deficient():
     with pytest.raises(RankDeficient):
         LatticeBasis(((1, 2), (2, 4)))
+
+
+@pytest.mark.parametrize("cols", [
+    ((0, 0, 0), (1, 2, 3), (4, 5, 7)),                     # zero first column
+    ((1, 2, 3), (2, 4, 6), (0, 1, 5)),                     # dependent middle column
+    ((1, 2, 3), (0, 1, 5), (3, 7, 14)),                    # dependent last column
+    # the same three cases in 4 dimensions
+    ((0, 0, 0, 0), (1, 0, 2, 0), (0, 3, 0, 1), (5, 1, 1, 1)),
+    ((1, 2, 0, 1), (3, -1, 4, 2), (5, 3, 4, 4), (0, 0, 1, 9)),
+    ((1, 2, 0, 1), (3, -1, 4, 2), (0, 0, 1, 9), (2, 4, -1, -7)),
+])
+def test_gram_schmidt_raises_on_first_dependent_column(cols):
+    with pytest.raises(RankDeficient):
+        LatticeBasis(cols)
+    with pytest.raises(RankDeficient):
+        _lll_reduce(cols)
+
+
+def _fraction_det(rows) -> Fraction:
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return det
+
+
+def test_lattice_volume_is_abs_det_of_square_bases():
+    rng = random.Random(20261018)
+    done = 0
+    while done < 100:
+        r = rng.randint(1, 6)
+        m = 10 ** rng.randint(0, 9)
+        cols = tuple(tuple(rng.randint(-m, m) for _ in range(r)) for _ in range(r))
+        det = _fraction_det(cols)
+        if det == 0:
+            with pytest.raises(RankDeficient):
+                LatticeBasis(cols)
+            continue
+        assert lattice_volume(LatticeBasis(cols)) == abs(det)
+        done += 1
 
 
 def test_shortest_vector_examples():
@@ -169,7 +218,7 @@ def test_lll_reproduces_pinned_outputs_and_invariants():
         outputs.append((red, U))
         for i in range(n):
             assert list(red[i]) == [sum(U[i][j] * cols[j][t] for j in range(n)) for t in range(len(cols[0]))]
-        assert abs(_bareiss_det(U)) == 1
+        assert math.prod(_fraction_gso(U)[1]) == 1  # det(U)^2 = 1
         mu, Bv = _fraction_gso(red)
         for i in range(n):
             assert Fraction(d[i + 1], d[i]) == Bv[i]

@@ -4,7 +4,6 @@ import pytest
 
 from subgroup_values.errors import (
     BothZero,
-    DegreeLawViolation,
     PoleAt,
     ZeroDenominator,
 )
@@ -13,7 +12,6 @@ from subgroup_values.polynomials import (
     BiPoly,
     UniPoly,
     poly_gcd,
-    rational_compose,
     rational_normalize,
 )
 
@@ -79,76 +77,6 @@ def test_rational_normalize_idempotent():
         assert r1.den.is_monic()
 
 
-def test_rational_compose_examples():
-    # R = X^2, F = X + 1
-    R = rational_normalize(P(F7, 0, 0, 1), P(F7, 1))
-    F = rational_normalize(P(F7, 1, 1), P(F7, 1))
-    out = rational_compose(R, F)
-    assert out.num == P(F7, 1, 2, 1) and out.den == UniPoly.one(F7)
-
-    # R = X/(X-1) composed with F = X^2 over F_7 -> X^2/(X^2 - 1)
-    R = rational_normalize(P(F7, 0, 1), P(F7, -1, 1))
-    F = rational_normalize(P(F7, 0, 0, 1), P(F7, 1))
-    out = rational_compose(R, F)
-    assert out.num == P(F7, 0, 0, 1) and out.den == P(F7, -1, 0, 1)
-    assert out.D == 2
-
-    # identity R = X leaves F unchanged
-    R = rational_normalize(P(F7, 0, 1), P(F7, 1))
-    F = rational_normalize(P(F7, 3, 1, 2), P(F7, 1, 1))
-    assert rational_compose(R, F) == F
-
-
-def test_rational_compose_degree_law():
-    rng = random.Random(11)
-    checked = 0
-    for p in (5, 7, 11):
-        ctx = FieldCtx(p)
-        for _ in range(150):
-            fn = [rng.randrange(p) for _ in range(rng.randint(1, 5))]
-            fd = [rng.randrange(p) for _ in range(rng.randint(1, 5))]
-            rn = [rng.randrange(p) for _ in range(rng.randint(1, 5))]
-            rd = [rng.randrange(p) for _ in range(rng.randint(1, 5))]
-            try:
-                F = rational_normalize(UniPoly.from_ints(ctx, fn), UniPoly.from_ints(ctx, fd))
-                R = rational_normalize(UniPoly.from_ints(ctx, rn), UniPoly.from_ints(ctx, rd))
-            except ZeroDenominator:
-                continue
-            if F.is_constant() or R.is_constant():
-                continue
-            out = rational_compose(R, F)  # raises DegreeLawViolation on failure
-            assert out.D == R.D * F.D
-            checked += 1
-    assert checked >= 200
-
-
-def test_rational_compose_eval_morphism():
-    rng = random.Random(13)
-    ctx = FieldCtx(11)
-    for _ in range(80):
-        try:
-            F = rational_normalize(
-                UniPoly.from_ints(ctx, [rng.randrange(11) for _ in range(rng.randint(2, 4))]),
-                UniPoly.from_ints(ctx, [rng.randrange(11) for _ in range(rng.randint(1, 4))]),
-            )
-            R = rational_normalize(
-                UniPoly.from_ints(ctx, [rng.randrange(11) for _ in range(rng.randint(2, 4))]),
-                UniPoly.from_ints(ctx, [rng.randrange(11) for _ in range(rng.randint(1, 4))]),
-            )
-        except ZeroDenominator:
-            continue
-        if F.is_constant() or R.is_constant():
-            continue
-        comp = rational_compose(R, F)
-        for x in range(11):
-            try:
-                inner = F.eval(x)
-                direct = R.eval(inner)
-            except PoleAt:
-                continue
-            assert comp.eval(x) == direct
-
-
 def test_rational_eval_examples():
     psi = rational_normalize(P(F7, 0, 0, 1), P(F7, 1))
     assert psi.eval(3) == F7.el(2)
@@ -206,12 +134,3 @@ def test_unipoly_text_roundtrip_basics():
     assert UniPoly.zero(F7).text() == "0"
     assert P(F7, 0, 1).text() == "x"
 
-
-def test_degree_law_violation_is_internal_check():
-    # sanity: a healthy composition never raises it
-    R = rational_normalize(P(F5, 0, 0, 1), P(F5, 1))
-    F = rational_normalize(P(F5, 1, 1), P(F5, 1))
-    try:
-        rational_compose(R, F)
-    except DegreeLawViolation:
-        pytest.fail("degree law flagged a correct composition")
