@@ -9,20 +9,25 @@ Every fiber of the pencil is one polynomial of a single family: F_λ(x0, Y) =
 f(x0)g(Y) - λ g(x0)f(Y) is, up to a nonzero scalar, P_μ(Y) = g(Y) - μ f(Y)
 with μ = λ g(x0)/f(x0), or P_∞ = f where f(x0) = 0. So each scanned field
 gets one table, built once, of the factor degrees of every P_μ of full degree
-n = deg_Y F_λ that is squarefree. f and g are coprime, so y ∈ F_q is a root
-of P_μ exactly when f(y) ≠ 0 and g(y)/f(y) = μ (of P_∞ when f(y) = 0): the
-number k of linear factors of P_μ is a count of the ratios g(x0)/f(x0) the
-sieve walks anyway, and the rootless rest, of degree m = n - k, is empty or
-irreducible when m ≤ 3. Only the entries with m ≥ 4 run a distinct-degree
-factorization. A λ is settled without a bivariate search when no Y-degree in
-1..n-1 is a sum of factor degrees on every one of its fibers, and, if
-gcd(deg_x, deg_y, total degree) > 1, some fiber has a simple rational root.
-The first makes F_λ irreducible over the field: a factor of Y-degree a
-restricts to factors of total degree a on each such fiber, and a factor c(X)
-of Y-degree 0 would make the fiber at a root of c vanish, which coprime f, g
-rule out. The second is a smooth rational point, which certifies absolute
+n = deg_Y F_λ that is squarefree. The at most 2n - 2 μ with P_μ not
+squarefree are the values g(y)/f(y) at the roots y of the Wronskian
+f g' - f' g, read off one factorization of it. f and g are coprime, so
+y ∈ F_q is a root of P_μ exactly when f(y) ≠ 0 and g(y)/f(y) = μ (of P_∞
+when f(y) = 0): the number k of linear factors of P_μ is a count of the
+ratios g(x0)/f(x0) the sieve walks anyway, and the rootless rest, of degree
+m = n - k, is empty or irreducible when m ≤ 3. Only the entries with m ≥ 4
+build P_μ and run a distinct-degree factorization. A λ is settled without a
+bivariate search when no Y-degree in 1..n-1 is a sum of factor degrees on
+every one of its fibers, and, if gcd(deg_x, deg_y, total degree) > 1, some
+fiber has a simple rational root. The first makes F_λ irreducible over the
+field: a factor of Y-degree a restricts to factors of total degree a on each
+such fiber, and a factor c(X) of Y-degree 0 would make the fiber at a root
+of c vanish, which coprime f, g rule out. The second is a smooth rational point, which certifies absolute
 irreducibility. Every other λ, every exceptional one among them, goes to
 `is_absolutely_irreducible`, whose verdict and witness are the reported ones.
+F_λ itself is built only for those λ and for the degree checks: its degrees
+are deg_x = deg_y = n and total degree deg f + deg g for every λ except
+λ = 1 when deg f = deg g.
 """
 
 import itertools
@@ -39,6 +44,7 @@ from .errors import (
 )
 from .factorization import (
     _u_ddf,
+    _u_factor,
     _validate_bivariate_input,
     embed_bipoly,
     embed_unipoly,
@@ -51,8 +57,11 @@ from .polynomials import (
     RationalFunc,
     _uderiv,
     _ueval,
+    _uextgcd,
     _ugcd,
     _umonic,
+    _umul,
+    _urem,
     _uscale,
     _usub,
 )
@@ -123,24 +132,46 @@ def _fiber_table(ctx: FieldCtx, f, g, n: int, ratios) -> dict:
     """{μ: (mask, linear)} over μ in F_q and None for ∞, keeping each P_μ
     (g - μ f, and f for ∞) of degree n that is squarefree.
 
+    No P_μ is built to find the μ left out. The degree drops at ∞ when
+    deg f < n, at μ = 0 when deg g < n and at μ = lc g / lc f when
+    deg f = deg g. For the rest, the Wronskian rule: f P_μ' - f' P_μ = W =
+    f g' - f' g, and f vanishes at no root of P_μ, so P_μ has a repeated
+    root exactly when μ = g(y)/f(y) at a root y of W with f(y) ≠ 0. For each
+    irreducible factor w of W prime to f, g f⁻¹ mod w is that value: a
+    constant μ in F_q, or, when it is not constant, a μ outside F_q. P_∞ = f
+    keeps its own gcd with f'.
+
     Bit a of mask is set for each a in 1..n-1 that is a sum of some of P_μ's
     F_q-factor degrees; linear says P_μ has a root in F_q. ratios[x0] is
     g(x0)/f(x0), or None where f(x0) = 0, so P_μ has as many roots k as μ has
     occurrences in ratios. The degrees are k ones and those of a rootless part
     of degree m = n - k, which is empty or irreducible when m ≤ 3; only m ≥ 4
-    needs `_u_ddf`. The table is empty when some a is such a sum on every
-    entry, as for maps whose fibers always split: then no λ's fibers can rule
-    a out.
+    builds P_μ for `_u_ddf`. The table is empty when some a is such a sum on
+    every entry, as for maps whose fibers always split: then no λ's fibers
+    can rule a out.
     """
+    W = _usub(ctx, _umul(ctx, f, _uderiv(ctx, g)), _umul(ctx, _uderiv(ctx, f), g))
+    if not W:
+        # g/f is a function of X^p: every full-degree P_μ is a p-th power.
+        return {}
+    skip = set()
+    if len(f) != n + 1 or len(_ugcd(ctx, f, _uderiv(ctx, f))) != 1:
+        skip.add(None)
+    if len(g) != n + 1:
+        skip.add(ctx.zero_raw)
+    elif len(f) == n + 1:
+        skip.add(ctx.rmul(g[-1], ctx.rinv(f[-1])))
+    for w, _ in _u_factor(ctx, W)[1]:
+        d, f_inv = _uextgcd(ctx, f, w)
+        if len(d) == 1:
+            r = _urem(ctx, _umul(ctx, g, f_inv), w)
+            if len(r) <= 1:
+                skip.add(r[0] if r else ctx.zero_raw)
     roots = Counter(ratios)
     inner = (1 << n) - 2
     table = {}
     for mu in itertools.chain(ctx.elements(), [None]):
-        P = f if mu is None else _usub(ctx, g, _uscale(ctx, f, mu))
-        if len(P) != n + 1:
-            continue
-        P = _umonic(ctx, P)
-        if len(_ugcd(ctx, P, _uderiv(ctx, P))) != 1:
+        if mu in skip:
             continue
         k = roots[mu]
         m = n - k
@@ -149,8 +180,9 @@ def _fiber_table(ctx: FieldCtx, f, g, n: int, ratios) -> dict:
             if m >= 2:
                 sums |= sums << m
         else:
+            P = f if mu is None else _usub(ctx, g, _uscale(ctx, f, mu))
             sums = 1
-            for part, d in _u_ddf(ctx, P):
+            for part, d in _u_ddf(ctx, _umonic(ctx, P)):
                 for _ in range((len(part) - 1) // d):
                     sums |= sums << d
         table[mu] = (sums & inner, k > 0)
@@ -202,6 +234,15 @@ def exceptional_lambdas(psi: RationalFunc, p: int | None = None, max_ext: int = 
         raise PerfectPowerInput(f"ψ = {psi.text()} is a perfect power")
 
     n = max(psi.num.degree, psi.den.degree)
+    # deg_x = deg_y = n, and the total degree is deg f + deg g for every λ
+    # but λ = 1 when deg f = deg g, where the X^n Y^n terms cancel. λ = 1 is
+    # the first λ scanned, so F_λ is validated there and, when deg f = deg g,
+    # at the second λ too: the places a degree refusal can first show. Other
+    # F_λ are built only for the λ the sieve leaves open. λ = 1 is always
+    # exceptional: X - Y divides F_1, so every fiber keeps a root and
+    # need_point never matters there.
+    need_point = math.gcd(n, total) > 1
+    probes = 2 if psi.num.degree == psi.den.degree else 1
     found = []
     top_ctx = ctx
     for t in range(1, max_ext + 1):
@@ -220,11 +261,15 @@ def exceptional_lambdas(psi: RationalFunc, p: int | None = None, max_ext: int = 
                 continue
             if t > 1 and _in_proper_subfield(ctx_t, raw, t):
                 continue
-            sym = build_sym_poly(psi, FieldElem(ctx_t, raw))
-            _validate_bivariate_input(sym)
-            need_point = math.gcd(sym.deg_x, sym.deg_y, sym.total_degree) > 1
+            sym = None
+            if probes:
+                probes -= 1
+                sym = build_sym_poly(psi, FieldElem(ctx_t, raw))
+                _validate_bivariate_input(sym)
             if table and _sieve_settles(ctx_t, raw, ratios, table, need_point):
                 continue
+            if sym is None:
+                sym = build_sym_poly(psi, FieldElem(ctx_t, raw))
             verdict = is_absolutely_irreducible(sym)
             if verdict.absolutely:
                 continue

@@ -58,11 +58,15 @@ def _gram_schmidt(cols):
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Columns are linearly independent integer vectors in Z^dim."""
+    """Columns are linearly independent integer vectors in Z^dim.
+
+    gso is their Gram-Schmidt state (d, lam) from _gram_schmidt, as tuples;
+    gram_det is d[-1].
+    """
 
     cols: tuple
     row_scales: tuple | None = None
-    gram_det: int = field(init=False)
+    gso: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cols = tuple(tuple(int(x) for x in c) for c in self.cols)
@@ -74,8 +78,12 @@ class LatticeBasis:
             raise ValueError("columns of unequal length")
         if len(cols) > len(cols[0]):
             raise RankDeficient("more columns than ambient dimensions")
-        d, _ = _gram_schmidt(cols)
-        object.__setattr__(self, "gram_det", d[-1])
+        d, lam = _gram_schmidt(cols)
+        object.__setattr__(self, "gso", (tuple(d), tuple(map(tuple, lam))))
+
+    @property
+    def gram_det(self) -> int:
+        return self.gso[0][-1]
 
     @property
     def rank(self) -> int:
@@ -97,18 +105,19 @@ def lattice_volume(B: LatticeBasis):
 # --- LLL (internal accelerator only) --------------------------------------------
 
 
-def _lll_reduce(cols):
+def _lll_reduce(cols, gso=None):
     """Integral LLL with delta = 99/100 (Cohen, A Course in Computational
     Algebraic Number Theory, Alg. 2.6.7).
 
     Returns (reduced, U, d, lam) with reduced[i] = sum_j U[i][j] * cols[j].
-    The Gram-Schmidt state (d, lam) of _gram_schmidt is kept for the reduced
-    basis, updated in place on every size reduction and swap.
+    The Gram-Schmidt state (d, lam) of _gram_schmidt, or a copy of gso when
+    the caller already holds it for cols, is kept for the reduced basis,
+    updated in place on every size reduction and swap.
     """
     n = len(cols)
     b = [list(c) for c in cols]
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    d, lam = _gram_schmidt(b)
+    d, lam = _gram_schmidt(b) if gso is None else (list(gso[0]), [list(r) for r in gso[1]])
     k = 1
     steps = 0
     while k < n:
@@ -205,7 +214,7 @@ def _short_candidates(B: LatticeBasis):
     (norm, tie-break); coefficients refer to the input basis."""
     if B.rank > MAX_ENUM_DIM:
         raise SearchSpaceTooLarge(f"rank {B.rank} exceeds the enumeration cap {MAX_ENUM_DIM}")
-    reduced, U, d, lam = _lll_reduce(B.cols)
+    reduced, U, d, lam = _lll_reduce(B.cols, B.gso)
     bound = iroot(B.gram_det, 2 * B.rank)  # floor(vol^(1/rank))
     bound = max(bound, 1)
     bound = min(bound, min(max(abs(x) for x in col) for col in reduced))

@@ -6,7 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subgroup_values import factorization, lambda_scan
-from subgroup_values.errors import DegreeTooSmall, PerfectPowerInput, ZeroDenominator, ZeroLambda
+from subgroup_values.errors import (
+    DegreeOutOfRange,
+    DegreeTooSmall,
+    PerfectPowerInput,
+    ZeroDenominator,
+    ZeroLambda,
+)
 from subgroup_values.factorization import _u_ddf, embed_bipoly, embed_unipoly, is_absolutely_irreducible
 from subgroup_values.fields import FieldCtx, FieldElem, ext_field_build, is_prime
 from subgroup_values.lambda_scan import build_sym_poly, exceptional_lambdas
@@ -344,6 +350,75 @@ def test_fiber_table_factors_only_fibers_with_a_large_rootless_part(monkeypatch)
         for y in ctx.elements()
     )
     assert len(calls) == len(rootless) == 37
+
+
+def _count_scan_work(monkeypatch, expr, p):
+    """(exceptional λ, gcd calls in lambda_scan, λ given to build_sym_poly, λ
+    that reached is_absolutely_irreducible) for one scan."""
+    gcds, built, tested = [], [], []
+
+    def counting_gcd(ctx, a, b):
+        gcds.append((a, b))
+        return _ugcd(ctx, a, b)
+
+    def counting_build(psi, lam):
+        built.append(int(lam))
+        return build_sym_poly(psi, lam)
+
+    def counting_test(F):
+        tested.append(built[-1])
+        return is_absolutely_irreducible(F)
+
+    monkeypatch.setattr(lambda_scan, "_ugcd", counting_gcd)
+    monkeypatch.setattr(lambda_scan, "build_sym_poly", counting_build)
+    monkeypatch.setattr(lambda_scan, "is_absolutely_irreducible", counting_test)
+    report = exceptional_lambdas(parse_rational_expr(expr, p), p)
+    return sorted(int(w.lam) for w in report.exceptional), len(gcds), built, tested
+
+
+@pytest.mark.parametrize("expr, p, want, probes", [
+    ("(x^2+1)/(x+2)", 1009, [1], []),
+    ("(x^2+1)/(x+2)", 4409, [1], []),
+    # deg f = deg g: λ = 1 has its own total degree, so λ = 2 is probed too
+    ("(x^2+1)/(x^2+3)", 101, [1], [2]),
+])
+def test_scan_work_does_not_grow_with_p(monkeypatch, expr, p, want, probes):
+    # Squarefree fibers come from one factorization of the Wronskian, so the
+    # gcd count is per field, not per μ; F_λ is built only for the λ that
+    # reach the bivariate test and for the degree probes.
+    got, gcds, built, tested = _count_scan_work(monkeypatch, expr, p)
+    assert got == want
+    assert gcds <= 1
+    assert built == sorted(set(tested) | set(probes))
+    assert len(tested) <= 4
+
+
+@pytest.mark.parametrize("expr, message, tested_degrees", [
+    # λ = 1 passes with total degree 5 (F_1 = X^5 - Y^5), λ = 2 is refused
+    ("(x^5+1)/(x^5+2)", "got 10", [5]),
+    # λ = 1 keeps the X^4 Y^5 and X^5 Y^4 terms and is refused itself
+    ("(x^5+x^4+1)/(x^5+2)", "got 9", []),
+    ("(x^6+x+1)/(x^3+2)", "got 9", []),
+])
+def test_scan_refuses_degree_beyond_range_at_the_same_lambda(monkeypatch, expr, message, tested_degrees):
+    degrees = []
+
+    def recording(F):
+        degrees.append(F.total_degree)
+        return is_absolutely_irreducible(F)
+
+    monkeypatch.setattr(lambda_scan, "is_absolutely_irreducible", recording)
+    with pytest.raises(DegreeOutOfRange, match=f"^total degree must be in 1..8, {message}$"):
+        exceptional_lambdas(parse_rational_expr(expr, 101), 101)
+    assert degrees == tested_degrees
+
+
+def test_scan_at_a_large_prime_returns_quickly(budget):
+    p = 100003
+    with budget(15.0):
+        for expr, want in (("(x^2+1)/(x^2+3)", [1]), ("x^3+x", [1, p - 1])):
+            report = exceptional_lambdas(parse_rational_expr(expr, p), p)
+            assert sorted(int(w.lam) for w in report.exceptional) == want, expr
 
 
 def test_quadratic_polynomial_scan_matches_conic_classifier():

@@ -11,6 +11,7 @@ from subgroup_values.errors import (
     RankDeficient,
     SearchSpaceTooLarge,
 )
+from subgroup_values import lattices
 from subgroup_values.fields import centered_residue, is_prime
 from subgroup_values.lattices import (
     LatticeBasis,
@@ -372,3 +373,19 @@ def test_multiplier_at_a_million_returns_quickly(budget):
     with budget(5.0):
         v = find_small_residue_multiplier(inst)
     assert inst.satisfied_by(v)
+
+
+def test_multiplier_computes_the_gram_schmidt_state_once(monkeypatch):
+    # LLL starts from a copy of the state the basis computed, not a fresh one.
+    calls = []
+    gram_schmidt = lattices._gram_schmidt
+
+    def counting(cols):
+        calls.append(cols)
+        return gram_schmidt(cols)
+
+    monkeypatch.setattr(lattices, "_gram_schmidt", counting)
+    inst = SmallResidueInstance(100003, (1, 31415, 92653, 58979), (5000, 5000, 5000, 8001))
+    v = find_small_residue_multiplier(inst)
+    assert inst.satisfied_by(v)
+    assert len(calls) == 1
