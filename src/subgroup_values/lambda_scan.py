@@ -58,7 +58,6 @@ from .polynomials import (
     _uderiv,
     _ueval,
     _uextgcd,
-    _ugcd,
     _umonic,
     _umul,
     _urem,
@@ -138,8 +137,9 @@ def _fiber_table(ctx: FieldCtx, f, g, n: int, ratios) -> dict:
     f g' - f' g, and f vanishes at no root of P_μ, so P_μ has a repeated
     root exactly when μ = g(y)/f(y) at a root y of W with f(y) ≠ 0. For each
     irreducible factor w of W prime to f, g f⁻¹ mod w is that value: a
-    constant μ in F_q, or, when it is not constant, a μ outside F_q. P_∞ = f
-    keeps its own gcd with f'.
+    constant μ in F_q, or, when it is not constant, a μ outside F_q. At a
+    root y of f, W(y) = -f'(y) g(y) with g(y) ≠ 0, so P_∞ = f has a repeated
+    root exactly when some factor w shares a root with f.
 
     Bit a of mask is set for each a in 1..n-1 that is a sum of some of P_μ's
     F_q-factor degrees; linear says P_μ has a root in F_q. ratios[x0] is
@@ -155,7 +155,7 @@ def _fiber_table(ctx: FieldCtx, f, g, n: int, ratios) -> dict:
         # g/f is a function of X^p: every full-degree P_μ is a p-th power.
         return {}
     skip = set()
-    if len(f) != n + 1 or len(_ugcd(ctx, f, _uderiv(ctx, f))) != 1:
+    if len(f) != n + 1:
         skip.add(None)
     if len(g) != n + 1:
         skip.add(ctx.zero_raw)
@@ -167,6 +167,8 @@ def _fiber_table(ctx: FieldCtx, f, g, n: int, ratios) -> dict:
             r = _urem(ctx, _umul(ctx, g, f_inv), w)
             if len(r) <= 1:
                 skip.add(r[0] if r else ctx.zero_raw)
+        else:
+            skip.add(None)
     roots = Counter(ratios)
     inner = (1 << n) - 2
     table = {}
@@ -235,14 +237,18 @@ def exceptional_lambdas(psi: RationalFunc, p: int | None = None, max_ext: int = 
 
     n = max(psi.num.degree, psi.den.degree)
     # deg_x = deg_y = n, and the total degree is deg f + deg g for every λ
-    # but λ = 1 when deg f = deg g, where the X^n Y^n terms cancel. λ = 1 is
-    # the first λ scanned, so F_λ is validated there and, when deg f = deg g,
-    # at the second λ too: the places a degree refusal can first show. Other
-    # F_λ are built only for the λ the sieve leaves open. λ = 1 is always
-    # exceptional: X - Y divides F_1, so every fiber keeps a root and
-    # need_point never matters there.
+    # but λ = 1 when deg f = deg g, where the X^n Y^n terms cancel. So F_1,
+    # and F_2 when deg f = deg g, carry every degree refusal the scan can
+    # meet; they are validated before any table work, and the refusal names
+    # the first λ that shows it. λ = 1 is always exceptional: X - Y divides
+    # F_1, so the sieve never settles it, every fiber keeps a root and
+    # need_point never matters there. F_1 is kept for its bivariate test;
+    # every other F_λ is built only when the sieve leaves λ open.
+    first = build_sym_poly(psi, 1)
+    _validate_bivariate_input(first)
+    if psi.num.degree == psi.den.degree:
+        _validate_bivariate_input(build_sym_poly(psi, 2))
     need_point = math.gcd(n, total) > 1
-    probes = 2 if psi.num.degree == psi.den.degree else 1
     found = []
     top_ctx = ctx
     for t in range(1, max_ext + 1):
@@ -261,14 +267,11 @@ def exceptional_lambdas(psi: RationalFunc, p: int | None = None, max_ext: int = 
                 continue
             if t > 1 and _in_proper_subfield(ctx_t, raw, t):
                 continue
-            sym = None
-            if probes:
-                probes -= 1
-                sym = build_sym_poly(psi, FieldElem(ctx_t, raw))
-                _validate_bivariate_input(sym)
             if table and _sieve_settles(ctx_t, raw, ratios, table, need_point):
                 continue
-            if sym is None:
+            if ctx_t == ctx and raw == ctx.one_raw:
+                sym = first
+            else:
                 sym = build_sym_poly(psi, FieldElem(ctx_t, raw))
             verdict = is_absolutely_irreducible(sym)
             if verdict.absolutely:

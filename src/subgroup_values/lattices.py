@@ -105,19 +105,18 @@ def lattice_volume(B: LatticeBasis):
 # --- LLL (internal accelerator only) --------------------------------------------
 
 
-def _lll_reduce(cols, gso=None):
+def _lll_reduce(B: LatticeBasis):
     """Integral LLL with delta = 99/100 (Cohen, A Course in Computational
     Algebraic Number Theory, Alg. 2.6.7).
 
-    Returns (reduced, U, d, lam) with reduced[i] = sum_j U[i][j] * cols[j].
-    The Gram-Schmidt state (d, lam) of _gram_schmidt, or a copy of gso when
-    the caller already holds it for cols, is kept for the reduced basis,
-    updated in place on every size reduction and swap.
+    Returns (reduced, U, d, lam) with reduced[i] = sum_j U[i][j] * B.cols[j].
+    It starts from a copy of B's Gram-Schmidt state (d, lam) and keeps it for
+    the reduced basis, updated in place on every size reduction and swap.
     """
-    n = len(cols)
-    b = [list(c) for c in cols]
+    n = B.rank
+    b = [list(c) for c in B.cols]
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    d, lam = _gram_schmidt(b) if gso is None else (list(gso[0]), [list(r) for r in gso[1]])
+    d, lam = list(B.gso[0]), [list(r) for r in B.gso[1]]
     k = 1
     steps = 0
     while k < n:
@@ -214,7 +213,7 @@ def _short_candidates(B: LatticeBasis):
     (norm, tie-break); coefficients refer to the input basis."""
     if B.rank > MAX_ENUM_DIM:
         raise SearchSpaceTooLarge(f"rank {B.rank} exceeds the enumeration cap {MAX_ENUM_DIM}")
-    reduced, U, d, lam = _lll_reduce(B.cols, B.gso)
+    reduced, U, d, lam = _lll_reduce(B)
     bound = iroot(B.gram_det, 2 * B.rank)  # floor(vol^(1/rank))
     bound = max(bound, 1)
     bound = min(bound, min(max(abs(x) for x in col) for col in reduced))

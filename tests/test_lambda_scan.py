@@ -22,6 +22,7 @@ from subgroup_values.polynomials import (
     UniPoly,
     _uderiv,
     _ueval,
+    _uextgcd,
     _ugcd,
     _umonic,
     _uscale,
@@ -356,20 +357,23 @@ def _count_scan_work(monkeypatch, expr, p):
     """(exceptional λ, gcd calls in lambda_scan, λ given to build_sym_poly, λ
     that reached is_absolutely_irreducible) for one scan."""
     gcds, built, tested = [], [], []
+    lam_of = {}
 
     def counting_gcd(ctx, a, b):
         gcds.append((a, b))
-        return _ugcd(ctx, a, b)
+        return _uextgcd(ctx, a, b)
 
     def counting_build(psi, lam):
         built.append(int(lam))
-        return build_sym_poly(psi, lam)
+        F = build_sym_poly(psi, lam)
+        lam_of[id(F)] = int(lam)
+        return F
 
     def counting_test(F):
-        tested.append(built[-1])
+        tested.append(lam_of[id(F)])
         return is_absolutely_irreducible(F)
 
-    monkeypatch.setattr(lambda_scan, "_ugcd", counting_gcd)
+    monkeypatch.setattr(lambda_scan, "_uextgcd", counting_gcd)
     monkeypatch.setattr(lambda_scan, "build_sym_poly", counting_build)
     monkeypatch.setattr(lambda_scan, "is_absolutely_irreducible", counting_test)
     report = exceptional_lambdas(parse_rational_expr(expr, p), p)
@@ -377,45 +381,52 @@ def _count_scan_work(monkeypatch, expr, p):
 
 
 @pytest.mark.parametrize("expr, p, want, probes", [
-    ("(x^2+1)/(x+2)", 1009, [1], []),
-    ("(x^2+1)/(x+2)", 4409, [1], []),
+    ("(x^2+1)/(x+2)", 1009, [1], [1]),
+    ("(x^2+1)/(x+2)", 4409, [1], [1]),
     # deg f = deg g: λ = 1 has its own total degree, so λ = 2 is probed too
-    ("(x^2+1)/(x^2+3)", 101, [1], [2]),
+    ("(x^2+1)/(x^2+3)", 101, [1], [1, 2]),
 ])
 def test_scan_work_does_not_grow_with_p(monkeypatch, expr, p, want, probes):
     # Squarefree fibers come from one factorization of the Wronskian, so the
-    # gcd count is per field, not per μ; F_λ is built only for the λ that
-    # reach the bivariate test and for the degree probes.
+    # gcd count is per field, not per μ: one per irreducible factor of W, of
+    # degree at most 2n - 2 = 2. F_λ is built for the degree probes before
+    # the scan, and after that only for the λ that reach the bivariate test;
+    # the probe F_1 is the one tested at λ = 1.
     got, gcds, built, tested = _count_scan_work(monkeypatch, expr, p)
     assert got == want
-    assert gcds <= 1
-    assert built == sorted(set(tested) | set(probes))
+    assert gcds <= 2
+    assert tested[0] == 1
+    assert built == probes + tested[1:]
     assert len(tested) <= 4
 
 
-@pytest.mark.parametrize("expr, message, tested_degrees", [
+@pytest.mark.parametrize("expr, message, validated_degrees", [
     # λ = 1 passes with total degree 5 (F_1 = X^5 - Y^5), λ = 2 is refused
-    ("(x^5+1)/(x^5+2)", "got 10", [5]),
+    ("(x^5+1)/(x^5+2)", "got 10", [5, 10]),
     # λ = 1 keeps the X^4 Y^5 and X^5 Y^4 terms and is refused itself
-    ("(x^5+x^4+1)/(x^5+2)", "got 9", []),
-    ("(x^6+x+1)/(x^3+2)", "got 9", []),
+    ("(x^5+x^4+1)/(x^5+2)", "got 9", [9]),
+    ("(x^6+x+1)/(x^3+2)", "got 9", [9]),
 ])
-def test_scan_refuses_degree_beyond_range_at_the_same_lambda(monkeypatch, expr, message, tested_degrees):
+def test_scan_refuses_degree_beyond_range_at_the_same_lambda(monkeypatch, expr, message, validated_degrees):
     degrees = []
+    validate = lambda_scan._validate_bivariate_input
 
     def recording(F):
         degrees.append(F.total_degree)
-        return is_absolutely_irreducible(F)
+        return validate(F)
 
-    monkeypatch.setattr(lambda_scan, "is_absolutely_irreducible", recording)
+    monkeypatch.setattr(lambda_scan, "_validate_bivariate_input", recording)
     with pytest.raises(DegreeOutOfRange, match=f"^total degree must be in 1..8, {message}$"):
         exceptional_lambdas(parse_rational_expr(expr, 101), 101)
-    assert degrees == tested_degrees
+    assert degrees == validated_degrees
 
 
 def test_scan_at_a_large_prime_returns_quickly(budget):
+    # Both scans take about 2 s on one desktop core. With a squarefree gcd
+    # per μ and an F_λ per λ they took about 10 s, so the budget catches a
+    # return to per-μ or per-λ polynomial work.
     p = 100003
-    with budget(15.0):
+    with budget(5.0):
         for expr, want in (("(x^2+1)/(x^2+3)", [1]), ("x^3+x", [1, p - 1])):
             report = exceptional_lambdas(parse_rational_expr(expr, p), p)
             assert sorted(int(w.lam) for w in report.exceptional) == want, expr
