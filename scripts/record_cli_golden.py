@@ -55,6 +55,8 @@ INVOCATIONS = [
     ["points", "--poly", "x*y-12", "--H", "12", "--format", "json"],
     ["count", "--psi", "x^2", "-p", "6", "-T", "2", "--interval", "1..3"],
     ["count", "--psi", "x^2"],
+    ["lattice-find", "-p", "7032383", "--b", "4270832,6429289,5459639",
+     "--V", "101331/4,71241,81923/2"],
 ]
 
 

@@ -7,6 +7,11 @@ purely as an accelerator, never as a correctness dependency; its exact integer
 Gram-Schmidt state (Gram determinants d and lam = d * mu) is the only
 Gram-Schmidt computation, and the enumeration prunes with it in exact integer
 arithmetic.
+
+The small-residue multiplier is read off one shortest vector of an integer
+basis built from the floored bounds W_i = floor(V_i); Minkowski's theorem
+makes that vector valid whenever the bounds are (see
+find_small_residue_multiplier), so there is no second search.
 """
 
 import math
@@ -24,8 +29,6 @@ from .surd import Surd, iroot
 
 MAX_ENUM_DIM = 6  # lattice dimension cap; keeps the tracer at desk scale
 NODE_BUDGET = 10**8
-
-V_SCAN_LIMIT = 10**6
 
 
 # --- exact Gram-Schmidt ---------------------------------------------------------
@@ -58,14 +61,13 @@ def _gram_schmidt(cols):
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Columns are linearly independent integer vectors in Z^dim.
+    """Columns are linearly independent integer vectors of equal length.
 
     gso is their Gram-Schmidt state (d, lam) from _gram_schmidt, as tuples;
     gram_det is d[-1].
     """
 
     cols: tuple
-    row_scales: tuple | None = None
     gso: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -88,10 +90,6 @@ class LatticeBasis:
     @property
     def rank(self) -> int:
         return len(self.cols)
-
-    @property
-    def dim(self) -> int:
-        return len(self.cols[0])
 
 
 def lattice_volume(B: LatticeBasis):
@@ -208,9 +206,9 @@ def _canonical(vec, coeffs):
     return vec, coeffs
 
 
-def _short_candidates(B: LatticeBasis):
-    """Deduplicated lattice vectors within the volume bound, sorted by
-    (norm, tie-break); coefficients refer to the input basis."""
+def _shortest(B: LatticeBasis):
+    """(vec, coeffs): shortest_vector_enum's vector and its coefficients in
+    the input basis."""
     if B.rank > MAX_ENUM_DIM:
         raise SearchSpaceTooLarge(f"rank {B.rank} exceeds the enumeration cap {MAX_ENUM_DIM}")
     reduced, U, d, lam = _lll_reduce(B)
@@ -218,18 +216,13 @@ def _short_candidates(B: LatticeBasis):
     bound = max(bound, 1)
     bound = min(bound, min(max(abs(x) for x in col) for col in reduced))
     raw = _enumerate_ball(reduced, d, lam, bound)
-    seen = {}
-    for vec, cred in raw:
-        corig = tuple(
-            sum(cred[i] * U[i][j] for i in range(B.rank)) for j in range(B.rank)
-        )
-        vec_c, coeffs_c = _canonical(vec, corig)
-        norm = max(abs(x) for x in vec_c)
-        l2 = sum(x * x for x in vec_c)
-        if vec_c not in seen:
-            seen[vec_c] = (norm, l2, vec_c, coeffs_c)
-    cands = sorted(seen.values(), key=lambda t: (t[0], t[1], tuple(-x for x in t[2])))
-    return [(n, v, c) for n, _, v, c in cands]
+    assert raw, "volume bound excluded every vector (impossible)"
+    vec, cred = min(
+        (_canonical(v, c) for v, c in raw),
+        key=lambda t: (max(map(abs, t[0])), sum(x * x for x in t[0]), tuple(-x for x in t[0])),
+    )
+    coeffs = tuple(sum(cred[i] * U[i][j] for i in range(B.rank)) for j in range(B.rank))
+    return vec, coeffs
 
 
 def shortest_vector_enum(B: LatticeBasis) -> tuple:
@@ -240,9 +233,7 @@ def shortest_vector_enum(B: LatticeBasis) -> tuple:
     sign is fixed so the last nonzero coordinate is positive, and the
     lexicographically largest remaining vector is returned.
     """
-    cands = _short_candidates(B)
-    assert cands, "volume bound excluded every vector (impossible)"
-    return cands[0][1]
+    return _shortest(B)[0]
 
 
 # --- small-residue multipliers ------------------------------------------------------
@@ -311,60 +302,45 @@ class SmallResidueInstance:
 def build_red_basis(inst: SmallResidueInstance) -> LatticeBasis:
     """The s x s matrix of the multiplier construction, with b_1 normalized to 1.
 
-    Rows run b_s V/V_s, ..., b_2 V/V_2, V/V_1 down the first column; column j
-    (j >= 2) holds p V/V_j in the row of index j. Rational V_i are kept exact
-    by scaling each row to integers; the per-row scale factors are recorded.
+    With W_i = floor(V_i) and P = W_1 ... W_s, rows run b_s P/W_s, ...,
+    b_2 P/W_2, P/W_1 down the first column; column j (j >= 2) holds p P/W_j
+    in the row of index j. Every entry is an integer, and a lattice vector
+    with first coefficient c has infinity norm <= P exactly when
+    centered_residue(b_i c) <= W_i for every i, which for integer residues is
+    the bound V_i itself.
     """
     inst.validate()
     p = inst.p
-    s = inst.s
     if inst.b[0] % p == 0:
         raise PreconditionViolated("b[0] must be invertible mod p; reorder the system")
     inv1 = mod_inverse(inst.b[0], p)
-    nb = [bi * inv1 % p for bi in inst.b]
-    V_ex = []
-    for v in inst.bounds:
-        if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
-            V_ex.append(Fraction(v))
-        else:
-            V_ex.append(Fraction(_floor_bound(v)))
-    vprod = Fraction(1)
-    for v in V_ex:
-        vprod *= v
-    rows = []
+    return _red_basis(p, [bi * inv1 % p for bi in inst.b], inst.floored_bounds())
+
+
+def _red_basis(p: int, nb, W) -> LatticeBasis:
+    """build_red_basis for normalized residues nb (nb[0] = 1) and floored
+    bounds W, without validation."""
+    s = len(W)
+    P = math.prod(W)
+    cols = [[0] * s for _ in range(s)]
     for r in range(s):
         i = s - r  # index of the b entry carried by this row
-        row = [Fraction(0)] * s
+        cols[0][r] = nb[i - 1] * P // W[i - 1]
         if i >= 2:
-            row[0] = nb[i - 1] * vprod / V_ex[i - 1]
-            row[i - 1] = p * vprod / V_ex[i - 1]
-        else:
-            row[0] = vprod / V_ex[0]
-        rows.append(row)
-    scales = []
-    int_rows = []
-    for row in rows:
-        den = math.lcm(*[f.denominator for f in row])
-        scales.append(den)
-        int_rows.append([int(f * den) for f in row])
-    cols = tuple(tuple(int_rows[r][c] for r in range(s)) for c in range(s))
-    return LatticeBasis(cols, row_scales=tuple(scales))
-
-
-def _exhaustive_multiplier_scan(inst: SmallResidueInstance):
-    for v in range(1, inst.p):
-        if inst.satisfied_by(v):
-            return v
-    return None
+            cols[i - 1][r] = p * P // W[i - 1]
+    return LatticeBasis(cols)
 
 
 def find_small_residue_multiplier(inst: SmallResidueInstance) -> int:
     """An integer v in [1, p) with gcd(v, p) = 1 and centered_residue(b_i v) <= V_i.
 
-    The primary route reads v off the first coefficient of a short vector of
-    build_red_basis; if that coefficient is divisible by p the next-shortest
-    candidates are tried, and for p <= 10^6 a direct scan backs the search up.
-    Under the validated preconditions a valid v always exists.
+    The system is pivoted on its first b_i prime to p and normalized there;
+    v is the first coefficient c of the shortest vector of its build_red_basis
+    lattice, divided by that b_i mod p. Validation makes v valid: Minkowski's
+    theorem on the real V_i gives a valid multiplier, whose lattice vector
+    has infinity norm <= P, so the shortest vector meets every W_i too, and c
+    is nonzero mod p, since c = 0 mod p would put p P/W_i > P in some row.
+    Raises MultiplierNotFound if v still fails the check.
     """
     inst.validate()
     p = inst.p
@@ -376,24 +352,11 @@ def find_small_residue_multiplier(inst: SmallResidueInstance) -> int:
     pivot = order[0]
     perm = [pivot] + [i for i in range(inst.s) if i != pivot]
     binv = mod_inverse(inst.b[pivot], p)
-    inst_norm = SmallResidueInstance(
-        p,
-        tuple(inst.b[i] * binv % p for i in perm),
-        tuple(inst.bounds[i] for i in perm),
-    )
-    basis = build_red_basis(inst_norm)
-    for _, _, coeffs in _short_candidates(basis):
-        w = coeffs[0] % p
-        if w == 0:
-            continue
-        v = w * binv % p
-        if inst.satisfied_by(v):
-            return v
-        break  # the shortest usable vector should work; fall back to scanning
-    if p <= V_SCAN_LIMIT:
-        v = _exhaustive_multiplier_scan(inst)
-        if v is not None:
-            return v
-    raise MultiplierNotFound(
-        f"no multiplier found for {inst!r}; this contradicts the construction"
-    )
+    W = inst.floored_bounds()
+    basis = _red_basis(p, [inst.b[i] * binv % p for i in perm], [W[i] for i in perm])
+    v = _shortest(basis)[1][0] * binv % p
+    if not inst.satisfied_by(v):
+        raise MultiplierNotFound(
+            f"no multiplier found for {inst!r}; this contradicts the construction"
+        )
+    return v

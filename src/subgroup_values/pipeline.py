@@ -143,13 +143,13 @@ def select_test_levels(p: int, H: int, exp: ExponentSet) -> LevelSelection:
     levels = {}
     for (i, j) in support.pairs:
         levels[(i, j)] = Surd(base * Fraction(H) ** (k - s * (i + j)), s)
-    vmax = levels[(1, 0) if (1, 0) in levels else (0, 1)]
+    vmax = levels[(1, 0)]
     if not vmax < p:
         raise WindowEmpty(
             f"max level U/H = {float(vmax):.6g} >= p = {p}",
             effective_c=_effective_c(p, H, exp),
         )
-    vmin = levels[(exp.m, exp.ell) if (exp.m, exp.ell) in levels else (exp.ell, exp.m)]
+    vmin = levels[(exp.m, exp.ell)]
     if not vmin >= 1:
         raise WindowEmpty(
             f"min level U/H^(m+ell) = {float(vmin):.6g} < 1",

@@ -235,7 +235,6 @@ def test_build_red_basis_worked_example():
     B = build_red_basis(inst)
     assert B.cols == ((15, 4), (33, 0))
     assert lattice_volume(B) == 132 == 11 * 12  # p^(s-1) V^(s-1)
-    assert B.row_scales == (1, 1)
 
 
 def test_build_red_basis_volume_matches_closed_form():
@@ -251,14 +250,15 @@ def test_build_red_basis_volume_matches_closed_form():
         b = [1] + [rng.randrange(p) for _ in range(s - 1)]
         inst = SmallResidueInstance(p, tuple(b), tuple(V))
         B = build_red_basis(inst)
-        scale = math.prod(B.row_scales)
-        assert lattice_volume(B) == p ** (s - 1) * prod ** (s - 1) * scale
+        assert lattice_volume(B) == p ** (s - 1) * prod ** (s - 1)
 
 
-def test_build_red_basis_rational_bounds_are_scaled():
-    inst = SmallResidueInstance(11, (1, 5), (Fraction(7, 2), 4))
-    B = build_red_basis(inst)
-    assert any(sc > 1 for sc in B.row_scales)
+def test_build_red_basis_fraction_bounds_give_the_basis_of_their_floors():
+    # residues are integers, so floor(V_i) bounds them exactly as V_i does
+    B = build_red_basis(SmallResidueInstance(11, (1, 5), (Fraction(7, 2), 4)))
+    assert B.cols == build_red_basis(SmallResidueInstance(11, (1, 5), (3, 4))).cols
+    B = build_red_basis(SmallResidueInstance(101, (1, 7, 11), (Fraction(61, 2), 25, Fraction(41, 2))))
+    assert B.cols == build_red_basis(SmallResidueInstance(101, (1, 7, 11), (30, 25, 20))).cols
 
 
 def test_find_small_residue_multiplier_worked_example():
@@ -345,6 +345,74 @@ def test_soundness_random_instances():
         done += 1
 
 
+@pytest.mark.parametrize("p, b, V", [
+    (7032383, (4270832, 6429289, 5459639), (Fraction(101331, 4), 71241, Fraction(81923, 2))),
+    (2249411, (1807783, 1857285, 1808623, 645161, 1766826),
+     (Fraction(411119, 3), Fraction(367473, 4), 242877, Fraction(438831, 4), Fraction(288662, 3))),
+])
+def test_multiplier_with_fraction_bounds_regressions(p, b, V):
+    # a lattice scaled row by row to clear each Fraction's denominator
+    # distorts the box of bounds, and its shortest vector missed both
+    inst = SmallResidueInstance(p, b, V)
+    assert inst.satisfied_by(find_small_residue_multiplier(inst))
+
+
+_TIERS = ((11, 5000), (2**20, 2**24))
+
+
+def _valid_instance(rng, lo, hi, s, kind):
+    """A valid instance with prime p in [lo, hi] and prod V_i just above
+    p^(s-1); kind 'int', 'fraction' (denominators 2..5) or 'surd' (square
+    and cube roots of integers) picks the type of the bounds."""
+    while True:
+        p = rng.randint(lo, hi)
+        if not is_prime(p):
+            continue
+        target = p ** (s - 1)
+        side = target ** (1.0 / s)
+        near = [side * math.exp(rng.uniform(-0.5, 0.5)) for _ in range(s - 1)]
+        if kind == "surd":
+            k = rng.randint(2, 3)
+            R = [max(1, int(x**k)) for x in near]
+            R.append(target**k // math.prod(R) + 1)
+            V = [Surd(r, k) for r in R]
+        else:
+            den = 1 if kind == "int" else rng.randint(2, 5)
+            V = [Fraction(max(den, int(x * den)), den) for x in near]
+            V.append(Fraction(math.floor(Fraction(target) / math.prod(V) * den) + 1, den))
+            if kind == "int":
+                V = [int(x) for x in V]
+        if all(1 <= x < p for x in V):
+            return SmallResidueInstance(p, tuple(rng.randrange(p) for _ in range(s)), tuple(V))
+
+
+def test_multiplier_is_valid_for_every_kind_of_bound():
+    # the Fraction cases at the large tier fail a lattice scaled row by row
+    rng = random.Random(20261019)
+    for kind in ("int", "fraction", "surd"):
+        for lo, hi in _TIERS:
+            for s in range(2, 6):
+                for _ in range(8):
+                    inst = _valid_instance(rng, lo, hi, s, kind)
+                    inst.validate()
+                    assert inst.satisfied_by(find_small_residue_multiplier(inst)), inst
+
+
+_PINNED_MULTIPLIER_DIGEST = "9a98ff14f5fb9969"
+
+
+def test_multiplier_reproduces_pinned_outputs():
+    # sha256 prefix of v over 200 integer- and Surd-bound instances, recorded
+    # from the lattice scaled row by row with its fallback scan
+    rng = random.Random(20261020)
+    vs = []
+    for n in range(200):
+        lo, hi = _TIERS[n // 2 % 2]
+        inst = _valid_instance(rng, lo, hi, 2 + n // 4 % 4, ("int", "surd")[n % 2])
+        vs.append(find_small_residue_multiplier(inst))
+    assert hashlib.sha256(repr(vs).encode()).hexdigest()[:16] == _PINNED_MULTIPLIER_DIGEST
+
+
 def test_multiplier_never_not_found_on_valid_instances():
     # MultiplierNotFound must never fire when preconditions hold; spot-check
     rng = random.Random(3)
@@ -387,3 +455,30 @@ def test_multiplier_computes_the_gram_schmidt_state_once(monkeypatch):
     v = find_small_residue_multiplier(inst)
     assert inst.satisfied_by(v)
     assert len(calls) == 1
+
+
+def test_multiplier_validates_once(monkeypatch):
+    calls = []
+    validate = SmallResidueInstance.validate
+
+    def counting(inst):
+        calls.append(inst)
+        return validate(inst)
+
+    monkeypatch.setattr(SmallResidueInstance, "validate", counting)
+    inst = SmallResidueInstance(100003, (1, 31415, 92653, 58979), (5000, 5000, 5000, 8001))
+    assert inst.satisfied_by(find_small_residue_multiplier(inst))
+    assert calls == [inst]
+
+
+@pytest.mark.parametrize("b, V, message", [
+    # the bound is named by the caller's index, not the pivoted one
+    ((0, 1), (5, 12), "V[1] = 12 violates V_i < p = 11"),
+    # validation comes before the all-zero shortcut and the dimension cap
+    ((0, 0), (3, 3), "prod V_i = 9 violates prod > p^(s-1) = 11"),
+    ((1,) * 7, (10,) * 6 + (0,), "V[6] = 0 violates V_i >= 1"),
+])
+def test_multiplier_refusals_keep_their_order_and_message(b, V, message):
+    with pytest.raises(PreconditionViolated) as err:
+        find_small_residue_multiplier(SmallResidueInstance(11, b, V))
+    assert str(err.value) == message
