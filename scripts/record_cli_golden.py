@@ -57,13 +57,13 @@ INVOCATIONS = [
     ["count", "--psi", "x^2"],
     ["lattice-find", "-p", "7032383", "--b", "4270832,6429289,5459639",
      "--V", "101331/4,71241,81923/2"],
+    ["lattice-find", "-p", "21", "--b", "1,8,5", "--V", "6,9,11"],
 ]
 
 
 def run(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("SUBGROUP_VALUES_THREADS", None)
     env["COLUMNS"] = "80"  # argparse wraps its usage message to the terminal width
     return subprocess.run(
         [sys.executable, "-m", "subgroup_values", *argv],

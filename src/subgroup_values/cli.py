@@ -7,7 +7,6 @@ identical invocations produce byte-identical output.
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -21,11 +20,10 @@ from .counting import (
     vinogradov_count,
 )
 from .errors import ParseError, SubgroupValuesError
-from .fields import centered_residue
+from .fields import centered_residue, check_prime
 from .lambda_scan import exceptional_lambdas
 from .lattices import SmallResidueInstance, find_small_residue_multiplier
-from .parsing import parse_int_bipoly, parse_poly_expr, parse_rational_expr
-from .polynomials import UniPoly, rational_normalize
+from .parsing import parse_int_bipoly, parse_rational_expr
 from .reporting import emit_report, mapping_to_output
 from .pipeline import (
     exponent_set,
@@ -34,20 +32,6 @@ from .pipeline import (
     standard_sweep_cells,
     trace_proof,
 )
-
-SUBCOMMANDS = (
-    "count",
-    "lambda-scan",
-    "lattice-find",
-    "perfect-power",
-    "exponents",
-    "trace",
-    "sweep",
-    "kshort",
-    "vinogradov",
-    "points",
-)
-
 
 def _parse_interval(text: str):
     """Closed range "a..b" -> (u, H) with u = a - 1, H = b - a + 1."""
@@ -129,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="evaluate a grid of instances")
     sp.add_argument("--config", default=None, help="JSON file with a list of cells")
     sp.add_argument("--standard", action="store_true", help="run the built-in corpus")
-    sp.add_argument("--jobs", type=int, default=None)
+    sp.add_argument("--jobs", type=int, default=1)
     common(sp)
 
     sp = sub.add_parser("kshort", help="shortest interval covering H consecutive values")
@@ -194,6 +178,7 @@ def _cmd_lambda_scan(a):
 
 
 def _cmd_lattice_find(a):
+    check_prime(a.p)
     b = _parse_num_list(a.b)
     V = _parse_num_list(a.V, allow_fraction=True)
     inst = SmallResidueInstance(a.p, tuple(b), tuple(V))
@@ -247,19 +232,14 @@ def _cmd_sweep(a):
             cells = json.load(fh)
         if not isinstance(cells, list):
             raise SubgroupValuesError("config must be a JSON list of cells")
-    jobs = a.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("SUBGROUP_VALUES_THREADS", "1"))
-    rows = run_sweep(cells, jobs=max(jobs, 1))
+    rows = run_sweep(cells, jobs=max(a.jobs, 1))
     text = emit_report(rows, fmt=a.format, path=a.output)
     if not a.output:
         sys.stdout.write(text)
 
 
 def _cmd_kshort(a):
-    f = parse_poly_expr(a.psi, a.p)
-    if isinstance(f, UniPoly):
-        f = rational_normalize(f, UniPoly.one(f.ctx))
+    f = parse_rational_expr(a.psi, a.p)
     k = shortest_covering_interval(f, a.H, a.p, wrap=a.wrap)
     _emit_pairs([("p", a.p), ("psi", f.text()), ("H", a.H), ("wrap", a.wrap), ("K", k)], a)
 

@@ -191,10 +191,8 @@ class FactorMultiset:
         return acc
 
 
-def factor_univariate(f: UniPoly, ctx: FieldCtx | None = None) -> FactorMultiset:
+def factor_univariate(f: UniPoly) -> FactorMultiset:
     """Complete factorization into monic irreducibles, deterministically ordered."""
-    if ctx is not None and ctx != f.ctx:
-        raise CtxMismatch("explicit context disagrees with the polynomial")
     ctx = f.ctx
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -316,33 +314,32 @@ def embed_bipoly(F: BiPoly, dst: FieldCtx) -> BiPoly:
 # --- bivariate machinery ----------------------------------------------------------
 
 
-def _content_y(ctx, rows) -> UniPoly:
-    """gcd over F_q[X] of a Y-view (list of UniPoly); monic, zero when every
-    row is zero."""
+def _content_y(ctx, rows):
+    """Monic gcd over F_q[X] of the rows of a Y-view; [] when all are zero."""
     acc = []
     for row in rows:
-        if not row.is_zero():
-            acc = _ugcd(ctx, acc, list(row.coeffs))
-            if len(acc) - 1 == 0:
+        if row:
+            acc = _ugcd(ctx, acc, row)
+            if len(acc) == 1:
                 break
-    return UniPoly(ctx, acc, raw=True)
+    return acc
 
 
 def _primitive_y(ctx, rows):
-    """Divide a Y-view (list of UniPoly) by its content; normalize the leading
-    coefficient polynomial to be monic."""
-    rows = [r for r in rows]
-    while rows and rows[-1].is_zero():
+    """Divide a Y-view by its content; normalize the leading coefficient
+    polynomial to be monic."""
+    rows = list(rows)
+    while rows and not rows[-1]:
         rows.pop()
     if not rows:
         return rows
     cont = _content_y(ctx, rows)
-    if cont.degree >= 1:
-        rows = [r // cont if not r.is_zero() else r for r in rows]
-    lc = rows[-1].lc
+    if len(cont) > 1:
+        rows = [_udivmod(ctx, r, cont)[0] for r in rows]
+    lc = rows[-1][-1]
     if lc != ctx.one_raw:
-        inv = FieldElem(ctx, ctx.rinv(lc))
-        rows = [r * inv for r in rows]
+        inv = ctx.rinv(lc)
+        rows = [_uscale(ctx, r, inv) for r in rows]
     return rows
 
 
@@ -354,23 +351,19 @@ def _pseudo_rem_y(ctx, A, B):
     while R and len(R) - 1 >= dB:
         lcR = R[-1]
         shift = len(R) - 1 - dB
-        R = [c * lcB for c in R]
+        R = [_umul(ctx, c, lcB) for c in R]
         for i in range(dB + 1):
-            R[shift + i] = R[shift + i] - lcR * B[i]
-        while R and R[-1].is_zero():
+            R[shift + i] = _usub(ctx, R[shift + i], _umul(ctx, lcR, B[i]))
+        while R and not R[-1]:
             R.pop()
     return R
 
 
 def _gcd_y(F: BiPoly, G: BiPoly) -> BiPoly:
-    """Primitive gcd of F and G viewed in (F_q[X])[Y] (content ignored)."""
+    """Primitive gcd of nonzero F and G in (F_q[X])[Y] (content ignored)."""
     ctx = F.ctx
-    A = [r for r in F.to_y_view()]
-    B = [r for r in G.to_y_view()]
-    while A and A[-1].is_zero():
-        A.pop()
-    while B and B[-1].is_zero():
-        B.pop()
+    A = F.to_y_view()
+    B = G.to_y_view()
     if len(A) < len(B):
         A, B = B, A
     while B:
@@ -445,7 +438,7 @@ def _hensel_find_factor(F: BiPoly, x0):
     at x0 (lc_Y(x0) != 0, F(x0, Y) squarefree), or None when F is irreducible."""
     ctx = F.ctx
     G = F.shift_x(x0)
-    rows = [list(r.coeffs) for r in G.to_y_view()]
+    rows = G.to_y_view()
     n = len(rows) - 1
     m = G.deg_x
     prec = 2 * m + 1
@@ -496,10 +489,7 @@ def _hensel_find_factor(F: BiPoly, x0):
     for size in range(1, r // 2 + 1):
         for S in itertools.combinations(range(r), size):
             prod = _spoly_prod_many(ctx, [lifted[i] for i in S], prec)
-            cand_rows = [
-                UniPoly(ctx, _ustrip(ctx, _series_mul(ctx, lc_series, s, prec)), raw=True)
-                for s in prod
-            ]
+            cand_rows = [_ustrip(ctx, _series_mul(ctx, lc_series, s, prec)) for s in prod]
             cand_rows = _primitive_y(ctx, cand_rows)
             C = BiPoly.from_y_view(ctx, cand_rows)
             if C.is_constant():
@@ -513,7 +503,7 @@ def _fibers(F: BiPoly):
     """(x0, F(x0, Y)) in elements() order, skipping each x0 where the
     Y-leading coefficient vanishes, so every fiber keeps degree deg_y."""
     ctx = F.ctx
-    rows = [list(r.coeffs) for r in F.to_y_view()]
+    rows = F.to_y_view()
     lc = rows[-1]
     for x0 in ctx.elements():
         if not ctx.is_zero_raw(_ueval(ctx, lc, x0)):
@@ -614,21 +604,20 @@ def find_proper_factor(F: BiPoly):
         return None
 
     if F.deg_y <= 0:
-        f = UniPoly(ctx, [F.terms.get((i, 0), ctx.zero_raw) for i in range(F.deg_x + 1)], raw=True)
-        fm = factor_univariate(f)
-        if len(fm.factors) == 1 and fm.factors[0][1] == 1:
+        _, pairs = _u_factor(ctx, F.to_y_view()[0])
+        if len(pairs) == 1 and pairs[0][1] == 1:
             return None
-        return BiPoly.from_unipoly_x(fm.factors[0][0])
+        return BiPoly.from_y_view(ctx, [pairs[0][0]])
     if F.deg_x <= 0:
         w = find_proper_factor(F.swap_vars())
         return w.swap_vars() if w is not None else None
 
     cy = _content_y(ctx, F.to_y_view())
-    if cy.degree >= 1:
-        return BiPoly.from_unipoly_x(cy)
+    if len(cy) > 1:
+        return BiPoly.from_y_view(ctx, [cy])
     cx = _content_y(ctx, F.swap_vars().to_y_view())
-    if cx.degree >= 1:
-        return BiPoly.from_unipoly_y(cx)
+    if len(cx) > 1:
+        return BiPoly.from_y_view(ctx, [cx]).swap_vars()
 
     FY = F.derivative_y()
     if FY.is_zero():
@@ -657,10 +646,8 @@ def _validate_bivariate_input(F: BiPoly):
         raise CharTooSmall(f"need p > total degree, got p = {F.ctx.p}, degree {td}")
 
 
-def is_irreducible_bivariate(F: BiPoly, ctx: FieldCtx | None = None) -> bool:
+def is_irreducible_bivariate(F: BiPoly) -> bool:
     """True iff F has no nontrivial factorization over its own field."""
-    if ctx is not None and ctx != F.ctx:
-        raise CtxMismatch("explicit context disagrees with the polynomial")
     _validate_bivariate_input(F)
     return find_proper_factor(F) is None
 
@@ -701,7 +688,7 @@ def _has_smooth_rational_point(F: BiPoly) -> bool:
     return False
 
 
-def is_absolutely_irreducible(F: BiPoly, p: int | None = None) -> IrreducibilityVerdict:
+def is_absolutely_irreducible(F: BiPoly) -> IrreducibilityVerdict:
     """Absolute-irreducibility verdict with a verified witness factor.
 
     A factor over the base field F_q is the witness of reducibility. Once F is
@@ -717,8 +704,6 @@ def is_absolutely_irreducible(F: BiPoly, p: int | None = None) -> Irreducibility
     a witness upstairs or proves absolute irreducibility.
     """
     ctx = F.ctx
-    if p is not None and p != ctx.p:
-        raise CtxMismatch("explicit p disagrees with the polynomial's field")
     _validate_bivariate_input(F)
     w = find_proper_factor(F)
     if w is not None:

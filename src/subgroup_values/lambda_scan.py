@@ -250,10 +250,8 @@ def exceptional_lambdas(psi: RationalFunc, p: int | None = None, max_ext: int = 
         _validate_bivariate_input(build_sym_poly(psi, 2))
     need_point = math.gcd(n, total) > 1
     found = []
-    top_ctx = ctx
     for t in range(1, max_ext + 1):
         ctx_t = ext_field_build(ctx.p, t)
-        top_ctx = ctx_t
         f = list(embed_unipoly(psi.num, ctx_t).coeffs)
         g = list(embed_unipoly(psi.den, ctx_t).coeffs)
         ratios = []
@@ -285,7 +283,7 @@ def exceptional_lambdas(psi: RationalFunc, p: int | None = None, max_ext: int = 
         del table, ratios
     return LambdaReport(
         psi=psi,
-        scanned_field=top_ctx,
+        scanned_field=ext_field_build(ctx.p, max_ext),
         exceptional=tuple(found),
         bound=4 * D * D,
     )

@@ -163,14 +163,13 @@ def select_test_levels(p: int, H: int, exp: ExponentSet) -> LevelSelection:
     return LevelSelection(p=p, H=H, U=U, levels=levels, product_check=product_check)
 
 
-def value_count_bound(exp: ExponentSet, p: int, H: int, T: int, C: float = 1.0) -> float:
-    """C (1 + H^rho p^-theta) H^tau sqrt(T); the o(1) factor is dropped and the
-    value is only ever reported, never asserted."""
+def value_count_bound(exp: ExponentSet, p: int, H: int, T: int) -> float:
+    """(1 + H^rho p^-theta) H^tau sqrt(T); the constant and the o(1) factor
+    are dropped and the value is only ever reported, never asserted."""
     if p <= 0 or H <= 0 or T < 0:
         raise PreconditionViolated("p, H must be positive and T nonnegative")
     return (
-        C
-        * (1.0 + H ** float(exp.rho) * p ** (-float(exp.theta)))
+        (1.0 + H ** float(exp.rho) * p ** (-float(exp.theta)))
         * H ** float(exp.tau)
         * math.sqrt(T)
     )

@@ -3,7 +3,8 @@
 Coefficients are stored in raw form (see fields); the module-private _u*
 helpers work on plain lists of raws so factorization and lifting loops avoid
 object overhead. They are the one polynomial layer: fields also builds and
-inverts in F_{p^t} with them over F_p. Degree of the zero polynomial is the
+inverts in F_{p^t} with them over F_p, and a BiPoly's Y-view is a list of
+such raw lists, one per power of Y. Degree of the zero polynomial is the
 NEG_INF sentinel, which keeps max/min degree formulas total.
 """
 
@@ -448,7 +449,9 @@ class BiPoly:
         return FieldElem(self.ctx, self.eval_raw(x.raw, y.raw))
 
     def to_y_view(self) -> list:
-        """Coefficients as polynomials in X, indexed by the power of Y."""
+        """Coefficients as polynomials in X, indexed by the power of Y: one
+        stripped raw list of the _u* layer per row, [] for a zero row. The
+        zero polynomial gives [[]]; any other ends in a nonzero row."""
         ny = 0 if self.is_zero() else self.deg_y
         rows = [[] for _ in range(ny + 1)]
         z = self.ctx.zero_raw
@@ -457,33 +460,26 @@ class BiPoly:
             while len(row) <= i:
                 row.append(z)
             row[i] = c
-        return [UniPoly(self.ctx, r, raw=True) for r in rows]
+        return rows
 
     @classmethod
     def from_y_view(cls, ctx, rows) -> "BiPoly":
+        """Inverse of to_y_view; zero coefficients and rows may appear anywhere."""
         terms = {}
-        for j, poly in enumerate(rows):
-            cs = poly.coeffs if isinstance(poly, UniPoly) else poly
-            for i, c in enumerate(cs):
+        for j, row in enumerate(rows):
+            for i, c in enumerate(row):
                 if not ctx.is_zero_raw(c):
                     terms[(i, j)] = c
         return cls(ctx, terms, raw=True)
-
-    @classmethod
-    def from_unipoly_x(cls, f: UniPoly) -> "BiPoly":
-        return cls(f.ctx, {(i, 0): c for i, c in enumerate(f.coeffs)}, raw=True)
-
-    @classmethod
-    def from_unipoly_y(cls, f: UniPoly) -> "BiPoly":
-        return cls(f.ctx, {(0, j): c for j, c in enumerate(f.coeffs)}, raw=True)
 
     def swap_vars(self) -> "BiPoly":
         return BiPoly(self.ctx, {(j, i): c for (i, j), c in self.terms.items()}, raw=True)
 
     def shift_x(self, a) -> "BiPoly":
         """Substitute X -> X + a."""
-        rows = self.to_y_view()
-        return BiPoly.from_y_view(self.ctx, [r.shift(a) for r in rows])
+        ctx = self.ctx
+        a = ctx.el(a).raw
+        return BiPoly.from_y_view(ctx, [_ushift(ctx, r, a) for r in self.to_y_view()])
 
     def derivative_y(self) -> "BiPoly":
         ctx = self.ctx

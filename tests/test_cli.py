@@ -158,6 +158,13 @@ def test_cli_nonprime_exits_one():
     assert "6 is not prime" in r.stderr
 
 
+@pytest.mark.parametrize("p, b, V", [("21", "1,8,5", "6,9,11"), ("15", "1,7", "4,14")])
+def test_cli_lattice_find_refuses_composite_p(p, b, V):
+    r = run_cli("lattice-find", "-p", p, "--b", b, "--V", V)
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr == f"error: {p} is not prime\n"
+
+
 def test_cli_usage_error_exits_two():
     r = run_cli("count", "--psi", "x^2")
     assert r.returncode == 2
@@ -220,21 +227,6 @@ def test_cli_sweep_parallel_byte_identical(tmp_path):
                  "--output", str(out2), "--jobs", "2")
     assert r1.returncode == 0 and r2.returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_cli_threads_env_fallback(tmp_path):
-    config = tmp_path / "cells.json"
-    config.write_text(json.dumps([{"p": 31, "psi": "x^2+x", "H": 3, "T": 5}]))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env["SUBGROUP_VALUES_THREADS"] = "2"
-    r = subprocess.run(
-        [sys.executable, "-m", "subgroup_values", "sweep", "--config", str(config),
-         "--format", "csv"],
-        capture_output=True, text=True, env=env,
-    )
-    assert r.returncode == 0
-    assert len(r.stdout.splitlines()) == 2
 
 
 def test_cli_lattice_find_worked_example():

@@ -1,8 +1,10 @@
+import hashlib
 import math
 import random
 
 import pytest
 
+from subgroup_values import factorization
 from subgroup_values.errors import (
     CharTooSmall,
     ConstantFunction,
@@ -398,6 +400,89 @@ def test_find_proper_factor_completeness_on_products():
         assert q is not None and q * w == F
         assert not w.is_constant() and not q.is_constant()
         done += 1
+
+
+_PIN_FIELDS = [FieldCtx(p) for p in (3, 5, 7, 11, 13)] + [ext_field_build(3, 2), ext_field_build(5, 2)]
+
+
+def _pin_cases():
+    """200 seeded bivariate polynomials of total degree <= 6 over F_p and
+    F_{p^2}: random ones, products A*B, A^2*B and c(X)*A, and (for q <= 5)
+    ones whose Y-leading coefficient X^q - X vanishes at every base point."""
+    rng = random.Random(20261018)
+
+    def rand_bipoly(ctx, deg, x_only=False):
+        elems = [c for c in ctx.elements() if not ctx.is_zero_raw(c)]
+        terms = {}
+        for _ in range(rng.randint(2, 5)):
+            i = rng.randint(0, deg)
+            terms[(i, 0 if x_only else rng.randint(0, deg - i))] = rng.choice(elems)
+        return BiPoly(ctx, terms, raw=True)
+
+    out = []
+    for k in range(200):
+        ctx = _PIN_FIELDS[k % len(_PIN_FIELDS)]
+        kind = k % 5
+        if kind <= 1:
+            F = rand_bipoly(ctx, 6)
+        elif kind == 2:
+            F = rand_bipoly(ctx, 3) * rand_bipoly(ctx, 3)
+        elif kind == 3:
+            A = rand_bipoly(ctx, 2)
+            F = A * A * rand_bipoly(ctx, 2)
+        elif ctx.q <= 5:
+            F = B(ctx, {(ctx.q, 1): 1, (1, 1): -1}) + rand_bipoly(ctx, 2, x_only=True)
+            if ctx.q == 3:
+                F = F * rand_bipoly(ctx, 2)
+        else:
+            F = rand_bipoly(ctx, 2, x_only=True) * rand_bipoly(ctx, 4)
+        out.append(F)
+    return out
+
+
+def _pin_outcome(fn, F):
+    try:
+        r = fn(F)
+    except Exception as ex:
+        return type(ex).__name__
+    if r is None:
+        return None
+    if isinstance(r, BiPoly):
+        return r.key()
+    return (r.over_base, r.absolutely, None if r.witness is None else r.witness.key(), r.witness_ext)
+
+
+def _pin_digest(fn):
+    record = [(F.ctx.t, F.key(), _pin_outcome(fn, F)) for F in _pin_cases()]
+    return hashlib.sha256(repr(record).encode()).hexdigest()[:16]
+
+
+def test_find_proper_factor_reproduces_pinned_outputs():
+    # recorded before the Y-rows of the bivariate engine became raw lists
+    assert _pin_digest(find_proper_factor) == "c23b51eee0f1a08a"
+
+
+def test_absolute_verdicts_reproduce_pinned_outputs():
+    assert _pin_digest(is_absolutely_irreducible) == "6e33be27bbe4879a"
+
+
+def test_pinned_cases_reach_every_engine_branch(monkeypatch):
+    taken = {
+        "_content_y": lambda r: len(r) > 1,
+        "_gcd_y": lambda r: r.deg_y >= 1,
+        "_hensel_find_factor": lambda r: True,
+        "_factor_via_extension": lambda r: True,
+    }
+    hits = dict.fromkeys(taken, 0)
+    for name in taken:
+        def counted(*args, _name=name, _orig=getattr(factorization, name)):
+            r = _orig(*args)
+            hits[_name] += taken[_name](r)
+            return r
+        monkeypatch.setattr(factorization, name, counted)
+    for F in _pin_cases():
+        find_proper_factor(F)
+    assert all(hits.values()), hits
 
 
 def test_embedding_roundtrip():

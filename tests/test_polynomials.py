@@ -7,7 +7,7 @@ from subgroup_values.errors import (
     PoleAt,
     ZeroDenominator,
 )
-from subgroup_values.fields import NEG_INF, FieldCtx
+from subgroup_values.fields import NEG_INF, FieldCtx, ext_field_build
 from subgroup_values.polynomials import (
     BiPoly,
     UniPoly,
@@ -126,6 +126,22 @@ def test_bipoly_shift_and_swap():
     for x in range(7):
         for y in range(7):
             assert S.eval_raw(x, y) == F.eval_raw(y, x)
+
+
+def test_bipoly_y_view_roundtrip():
+    F = BiPoly(F7, {(2, 0): 3, (0, 2): 1, (1, 3): 5})  # no Y^1 term
+    rows = F.to_y_view()
+    assert rows == [[0, 0, 3], [], [1], [0, 5]]
+    assert BiPoly.from_y_view(F7, rows) == F
+    assert BiPoly.from_y_view(F7, rows + [[], [0, 0]]) == F
+    zero = BiPoly(F7)
+    assert zero.to_y_view() == [[]]
+    assert BiPoly.from_y_view(F7, zero.to_y_view()) == zero
+    assert BiPoly.from_y_view(F7, []) == zero
+    F25 = ext_field_build(5, 2)
+    G = BiPoly(F25, {(1, 0): (2, 3), (0, 2): (0, 1)}, raw=True)
+    assert G.to_y_view() == [[(0, 0), (2, 3)], [], [(0, 1)]]
+    assert BiPoly.from_y_view(F25, G.to_y_view()) == G
 
 
 def test_unipoly_text_roundtrip_basics():
