@@ -185,7 +185,7 @@ class FactorMultiset:
 
     def expand(self) -> UniPoly:
         ctx = self.unit.ctx
-        acc = UniPoly(ctx, (self.unit.raw,), raw=True)
+        acc = UniPoly(ctx, (self.unit.raw,))
         for poly, mult in self.factors:
             acc = acc * poly**mult
         return acc
@@ -199,7 +199,7 @@ def factor_univariate(f: UniPoly) -> FactorMultiset:
     unit, pairs = _u_factor(ctx, list(f.coeffs))
     return FactorMultiset(
         unit=FieldElem(ctx, unit),
-        factors=tuple((UniPoly(ctx, g, raw=True), m) for g, m in pairs),
+        factors=tuple((UniPoly(ctx, g), m) for g, m in pairs),
     )
 
 
@@ -303,7 +303,7 @@ def get_embedding(src: FieldCtx, dst: FieldCtx) -> Embedding:
 
 def embed_unipoly(f: UniPoly, dst: FieldCtx) -> UniPoly:
     emb = get_embedding(f.ctx, dst)
-    return UniPoly(dst, [emb.map_raw(c) for c in f.coeffs], raw=True)
+    return UniPoly(dst, [emb.map_raw(c) for c in f.coeffs])
 
 
 def embed_bipoly(F: BiPoly, dst: FieldCtx) -> BiPoly:
@@ -581,21 +581,15 @@ def _factor_via_extension(F: BiPoly):
     return BiPoly(ctx, down, raw=True)
 
 
-def _bipoly_pth_root(F: BiPoly) -> BiPoly:
-    ctx = F.ctx
-    p = ctx.p
-    e = ctx.p ** (ctx.t - 1)
-    out = {}
-    for (i, j), c in F.terms.items():
-        assert i % p == 0 and j % p == 0
-        out[(i // p, j // p)] = c if ctx.t == 1 else ctx.rpow(c, e)
-    return BiPoly(ctx, out, raw=True)
-
-
 def find_proper_factor(F: BiPoly):
     """A nontrivial factor of F over its own field, or None when irreducible.
 
-    Constants have no factorization; callers enforce degree bounds.
+    Constants have no factorization. Precondition: p > total degree of F,
+    which _validate_bivariate_input enforces for every caller in this
+    package, and which factors and their extension-field images keep. Under
+    it F_Y = 0 cannot happen once deg_y >= 1: F_Y = 0 puts every Y-exponent
+    in pZ, so deg_y >= p. A direct caller that breaks the precondition that
+    way gets CharTooSmall.
     """
     ctx = F.ctx
     if F.is_zero():
@@ -621,11 +615,9 @@ def find_proper_factor(F: BiPoly):
 
     FY = F.derivative_y()
     if FY.is_zero():
-        FX = F.swap_vars().derivative_y()
-        if FX.is_zero():
-            return _bipoly_pth_root(F)
-        w = find_proper_factor(F.swap_vars())
-        return w.swap_vars() if w is not None else None
+        raise CharTooSmall(
+            f"need p > total degree, got p = {ctx.p}, degree {F.total_degree} (F_Y = 0)"
+        )
     g = _gcd_y(F, FY)
     if g.deg_y >= 1:
         return g
@@ -777,8 +769,8 @@ def extract_power_root(psi: RationalFunc, n: int) -> RationalFunc:
             b = roots[0]
             numl = [emb.map_raw(c) for c in num_root]
             denl = [emb.map_raw(c) for c in den_root]
-            num = UniPoly(target, _uscale(target, numl, b), raw=True)
-            den = UniPoly(target, denl, raw=True)
+            num = UniPoly(target, _uscale(target, numl, b))
+            den = UniPoly(target, denl)
             return rational_normalize(num, den)
     raise DegreeTooLarge(
         f"no degree-{n} root of the leading coefficient within the extension cap"

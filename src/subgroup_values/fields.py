@@ -269,10 +269,6 @@ class FieldCtx:
         return FieldElem(self, raw)
 
     @property
-    def zero(self) -> "FieldElem":
-        return FieldElem(self, self.zero_raw)
-
-    @property
     def one(self) -> "FieldElem":
         return FieldElem(self, self.one_raw)
 
@@ -305,51 +301,12 @@ class FieldElem:
     def is_zero(self) -> bool:
         return self.ctx.is_zero_raw(self.raw)
 
-    def _coerce(self, other):
-        if isinstance(other, FieldElem):
-            if other.ctx != self.ctx:
-                raise CtxMismatch("operands belong to different fields")
-            return other.raw
-        if isinstance(other, int):
-            return self.ctx.from_int(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        raw = self._coerce(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.ctx, self.ctx.radd(self.raw, raw))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        raw = self._coerce(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.ctx, self.ctx.rsub(self.raw, raw))
-
-    def __rsub__(self, other):
-        raw = self._coerce(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.ctx, self.ctx.rsub(raw, self.raw))
-
     def __mul__(self, other):
-        raw = self._coerce(other)
-        if raw is NotImplemented:
+        if not isinstance(other, FieldElem):
             return NotImplemented
-        return FieldElem(self.ctx, self.ctx.rmul(self.raw, raw))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElem(self.ctx, self.ctx.rneg(self.raw))
-
-    def __truediv__(self, other):
-        raw = self._coerce(other)
-        if raw is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.ctx, self.ctx.rmul(self.raw, self.ctx.rinv(raw)))
+        if other.ctx != self.ctx:
+            raise CtxMismatch("operands belong to different fields")
+        return FieldElem(self.ctx, self.ctx.rmul(self.raw, other.raw))
 
     def __pow__(self, e: int):
         return FieldElem(self.ctx, self.ctx.rpow(self.raw, e))
@@ -358,8 +315,6 @@ class FieldElem:
         return FieldElem(self.ctx, self.ctx.rinv(self.raw))
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.raw == self.ctx.from_int(other)
         if isinstance(other, FieldElem):
             return self.ctx == other.ctx and self.raw == other.raw
         return NotImplemented

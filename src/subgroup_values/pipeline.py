@@ -130,9 +130,12 @@ def _effective_c(p: int, H: int, exp: ExponentSet) -> float | None:
 def select_test_levels(p: int, H: int, exp: ExponentSet) -> LevelSelection:
     """U = (2 p^(s-1) H^k)^(1/s) and the level family V_{i,j} = U / H^(i+j).
 
-    Raises WindowEmpty (naming the violated inequality and the instance's
-    effective window constant) when the largest level reaches p or the
-    smallest drops below 1.
+    Precondition: H >= 2. Raises WindowEmpty (naming the violated inequality
+    and the instance's effective window constant) when the largest level
+    U/H reaches p. Otherwise no level drops below 1: every level is at most
+    U/H < p and the s levels multiply to 2 p^(s-1), so the smallest,
+    U/H^(m+ell), is 2 p^(s-1) over a product of s - 1 levels below p, which
+    is above 2.
     """
     if H < 2:
         raise PreconditionViolated(f"H must be >= 2, got {H}")
@@ -147,12 +150,6 @@ def select_test_levels(p: int, H: int, exp: ExponentSet) -> LevelSelection:
     if not vmax < p:
         raise WindowEmpty(
             f"max level U/H = {float(vmax):.6g} >= p = {p}",
-            effective_c=_effective_c(p, H, exp),
-        )
-    vmin = levels[(exp.m, exp.ell)]
-    if not vmin >= 1:
-        raise WindowEmpty(
-            f"min level U/H^(m+ell) = {float(vmin):.6g} < 1",
             effective_c=_effective_c(p, H, exp),
         )
     prod = Surd(1)

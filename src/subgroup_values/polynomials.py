@@ -173,42 +173,34 @@ def _ukey(ctx, f):
 
 
 class UniPoly:
-    """Dense univariate polynomial; trailing zeros stripped, immutable by use."""
+    """Dense univariate polynomial; trailing zeros stripped, immutable by use.
+
+    coeffs are raw elements of ctx in ascending powers, as the _u* helpers
+    take them; they are not converted or checked. from_ints is the entry
+    point for integer coefficients.
+    """
 
     __slots__ = ("ctx", "coeffs")
 
-    def __init__(self, ctx: FieldCtx, coeffs=(), raw: bool = False):
+    def __init__(self, ctx: FieldCtx, coeffs=()):
         self.ctx = ctx
-        if raw:
-            cs = list(coeffs)
-        else:
-            cs = []
-            for c in coeffs:
-                if isinstance(c, FieldElem):
-                    if c.ctx != ctx:
-                        raise CtxMismatch("coefficient from another field")
-                    cs.append(c.raw)
-                elif isinstance(c, int):
-                    cs.append(ctx.from_int(c))
-                else:
-                    cs.append(c)
-        self.coeffs = tuple(_ustrip(ctx, cs))
+        self.coeffs = tuple(_ustrip(ctx, list(coeffs)))
 
     @classmethod
     def from_ints(cls, ctx, ints):
-        return cls(ctx, [ctx.from_int(i) for i in ints], raw=True)
+        return cls(ctx, [ctx.from_int(i) for i in ints])
 
     @classmethod
     def zero(cls, ctx):
-        return cls(ctx, (), raw=True)
+        return cls(ctx, ())
 
     @classmethod
     def one(cls, ctx):
-        return cls(ctx, (ctx.one_raw,), raw=True)
+        return cls(ctx, (ctx.one_raw,))
 
     @classmethod
     def x(cls, ctx):
-        return cls(ctx, (ctx.zero_raw, ctx.one_raw), raw=True)
+        return cls(ctx, (ctx.zero_raw, ctx.one_raw))
 
     @property
     def degree(self):
@@ -235,34 +227,31 @@ class UniPoly:
 
     def __add__(self, other):
         self._check(other)
-        return UniPoly(self.ctx, _uadd(self.ctx, list(self.coeffs), list(other.coeffs)), raw=True)
+        return UniPoly(self.ctx, _uadd(self.ctx, list(self.coeffs), list(other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
-        return UniPoly(self.ctx, _usub(self.ctx, list(self.coeffs), list(other.coeffs)), raw=True)
+        return UniPoly(self.ctx, _usub(self.ctx, list(self.coeffs), list(other.coeffs)))
 
     def __neg__(self):
-        return UniPoly(self.ctx, _uneg(self.ctx, list(self.coeffs)), raw=True)
+        return UniPoly(self.ctx, _uneg(self.ctx, list(self.coeffs)))
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):
             self._check(other)
-            return UniPoly(self.ctx, _umul(self.ctx, list(self.coeffs), list(other.coeffs)), raw=True)
+            return UniPoly(self.ctx, _umul(self.ctx, list(self.coeffs), list(other.coeffs)))
         raw = other.raw if isinstance(other, FieldElem) else self.ctx.from_int(other)
-        return UniPoly(self.ctx, _uscale(self.ctx, list(self.coeffs), raw), raw=True)
+        return UniPoly(self.ctx, _uscale(self.ctx, list(self.coeffs), raw))
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
         self._check(other)
         q, r = _udivmod(self.ctx, list(self.coeffs), list(other.coeffs))
-        return UniPoly(self.ctx, q, raw=True), UniPoly(self.ctx, r, raw=True)
+        return UniPoly(self.ctx, q), UniPoly(self.ctx, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def __pow__(self, e: int):
         result = UniPoly.one(self.ctx)
@@ -275,21 +264,14 @@ class UniPoly:
         return result
 
     def monic(self):
-        return UniPoly(self.ctx, _umonic(self.ctx, list(self.coeffs)), raw=True)
+        return UniPoly(self.ctx, _umonic(self.ctx, list(self.coeffs)))
 
     def eval_raw(self, x_raw):
         return _ueval(self.ctx, self.coeffs, x_raw)
 
-    def eval(self, x) -> FieldElem:
-        x = self.ctx.el(x)
-        return FieldElem(self.ctx, _ueval(self.ctx, self.coeffs, x.raw))
-
     def shift(self, a) -> "UniPoly":
         a = self.ctx.el(a).raw
-        return UniPoly(self.ctx, _ushift(self.ctx, list(self.coeffs), a), raw=True)
-
-    def key(self):
-        return (len(self.coeffs), _ukey(self.ctx, self.coeffs))
+        return UniPoly(self.ctx, _ushift(self.ctx, list(self.coeffs), a))
 
     def text(self) -> str:
         """Canonical expression like "x^2+3*x+1"; parseable by the CLI grammar."""
@@ -332,7 +314,7 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         raise CtxMismatch("polynomials over different fields")
     if a.is_zero() and b.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
-    return UniPoly(a.ctx, _ugcd(a.ctx, list(a.coeffs), list(b.coeffs)), raw=True)
+    return UniPoly(a.ctx, _ugcd(a.ctx, list(a.coeffs), list(b.coeffs)))
 
 
 # --- BiPoly ---------------------------------------------------------------------
@@ -388,10 +370,6 @@ class BiPoly:
         for k, c in other.terms.items():
             out[k] = ctx.rsub(out.get(k, ctx.zero_raw), c)
         return BiPoly(ctx, out, raw=True)
-
-    def __neg__(self):
-        ctx = self.ctx
-        return BiPoly(ctx, {k: ctx.rneg(c) for k, c in self.terms.items()}, raw=True)
 
     def __mul__(self, other):
         if not isinstance(other, BiPoly):
@@ -534,31 +512,6 @@ class BiPoly:
     def key(self):
         return tuple(sorted((i, j, self.ctx.raw_key(c)) for (i, j), c in self.terms.items()))
 
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
-        if self.ctx.t != 1:
-            return repr(self)
-        parts = []
-        for (i, j) in sorted(self.terms, key=lambda ij: (-(ij[0] + ij[1]), -ij[0])):
-            c = self.terms[(i, j)]
-            mono = []
-            if i == 1:
-                mono.append("x")
-            elif i > 1:
-                mono.append(f"x^{i}")
-            if j == 1:
-                mono.append("y")
-            elif j > 1:
-                mono.append(f"y^{j}")
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(mono))
-            else:
-                parts.append("*".join([str(c)] + mono))
-        return "+".join(parts)
-
     def __eq__(self, other):
         return (
             isinstance(other, BiPoly)
@@ -570,8 +523,6 @@ class BiPoly:
         return hash((self.ctx.p, self.ctx.t, tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
-        if self.ctx.t == 1:
-            return f"BiPoly({self.text()!r}, p={self.ctx.p})"
         return f"BiPoly({sorted(self.terms.items())!r} over {self.ctx!r})"
 
 
@@ -579,18 +530,30 @@ class BiPoly:
 
 
 class RationalFunc:
-    """Coprime pair f/g with a monic denominator; equal iff coefficients equal."""
+    """Coprime pair f/g with a monic denominator; equal iff coefficients equal.
+
+    The constructor strips the common factor of num and den and makes den
+    monic; the zero function is 0/1.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: UniPoly, den: UniPoly, normalized: bool = False):
+    def __init__(self, num: UniPoly, den: UniPoly):
         if num.ctx != den.ctx:
             raise CtxMismatch("numerator and denominator over different fields")
         if den.is_zero():
             raise ZeroDenominator("denominator is the zero polynomial")
-        if not normalized:
-            rf = rational_normalize(num, den)
-            num, den = rf.num, rf.den
+        ctx = num.ctx
+        if num.is_zero():
+            den = UniPoly.one(ctx)
+        else:
+            h = poly_gcd(num, den)
+            if h.degree >= 1:
+                num = num // h
+                den = den // h
+            lc_inv = FieldElem(ctx, ctx.rinv(den.lc))
+            num = num * lc_inv
+            den = den * lc_inv
         self.num = num
         self.den = den
 
@@ -640,9 +603,6 @@ class RationalFunc:
             return self.num.text()
         return f"({self.num.text()})/({self.den.text()})"
 
-    def key(self):
-        return (self.num.key(), self.den.key())
-
     def __eq__(self, other):
         return (
             isinstance(other, RationalFunc)
@@ -658,20 +618,6 @@ class RationalFunc:
 
 
 def rational_normalize(f: UniPoly, g: UniPoly) -> RationalFunc:
-    """Strip the common factor and make the denominator monic."""
-    if f.ctx != g.ctx:
-        raise CtxMismatch("numerator and denominator over different fields")
-    if g.is_zero():
-        raise ZeroDenominator("denominator is the zero polynomial")
-    ctx = f.ctx
-    if f.is_zero():
-        return RationalFunc(f, UniPoly.one(ctx), normalized=True)
-    h = poly_gcd(f, g)
-    if h.degree >= 1:
-        f = f // h
-        g = g // h
-    lc_inv = ctx.rinv(g.lc)
-    f = f * FieldElem(ctx, lc_inv)
-    g = g * FieldElem(ctx, lc_inv)
-    return RationalFunc(f, g, normalized=True)
+    """f/g with the common factor stripped and the denominator made monic."""
+    return RationalFunc(f, g)
 

@@ -96,7 +96,7 @@ def test_factor_univariate_deterministic_ordering():
 def test_factor_univariate_over_extension():
     f25 = ext_field_build(5, 2)
     # X^2 - 3 splits over F_25 (3 is a non-residue mod 5)
-    f = UniPoly(f25, [f25.from_int(-3 % 5), f25.zero_raw, f25.one_raw], raw=True)
+    f = UniPoly(f25, [f25.from_int(-3 % 5), f25.zero_raw, f25.one_raw])
     fm = factor_univariate(f)
     assert len(fm.factors) == 2
     assert fm.expand() == f
@@ -194,6 +194,14 @@ def test_is_irreducible_bivariate_validation():
         is_irreducible_bivariate(B(F7, {(9, 0): 1}))
     with pytest.raises(CharTooSmall):
         is_irreducible_bivariate(B(F5, {(5, 0): 1, (0, 1): 1}))
+
+
+def test_find_proper_factor_refuses_vanishing_f_y():
+    # F_Y = 0 with deg_y >= 1 needs deg_y >= p, outside the p > total degree
+    # precondition: X^2 + Y^2 = (X + Y)^2 and X + Y^2 over F_2
+    for terms in ({(2, 0): 1, (0, 2): 1}, {(1, 0): 1, (0, 2): 1}):
+        with pytest.raises(CharTooSmall):
+            find_proper_factor(B(F2, terms))
 
 
 def _naive_divides(num, den, p):

@@ -186,7 +186,7 @@ def test_ctx_mismatch():
     a = FieldCtx(5).el(2)
     b = FieldCtx(7).el(2)
     with pytest.raises(CtxMismatch):
-        _ = a + b
+        _ = a * b
 
 
 def test_elements_order_is_ascending_key():

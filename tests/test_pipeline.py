@@ -8,6 +8,7 @@ from subgroup_values.errors import (
     BadRange,
     DegenerateDegrees,
     LambdaSetExhausted,
+    ParseError,
     PerfectPowerInput,
     PreconditionViolated,
     WindowEmpty,
@@ -219,13 +220,36 @@ def test_sweep_records_errors_without_aborting():
         {"p": 31, "psi": "x^2", "H": 3, "T": 5},
         {"p": 31, "psi": "x^2+x", "H": 30, "T": 5},
         {"p": 31, "psi": "(x^2+1)/(x+2)", "H": 3, "T": 5},
+        {"p": 31, "psi": "(x^2+1)/(", "H": 3, "T": 5},
+        {"p": 31, "psi": "(x^2+1)/(", "H": 4, "T": 5},
+        {"p": 3, "psi": "x^3+x", "H": 2, "T": 2},
+        {"p": 31, "psi": "x^2+x", "H": 3, "T": 5, "u": 2},
     ])
-    statuses = {(r.d, r.e, r.H): r.status for r in rows}
+    assert len(rows) == 8
+    statuses = {(r.d, r.e, r.H): r.status for r in rows if r.u == 0}
     assert statuses[(2, 0, 3)] == "ok"
     assert statuses[(2, 0, 30)] == "window-empty"
     assert statuses[(2, 1, 3)] == "error"
     perfect = [r for r in rows if r.status == "perfect-power"]
     assert len(perfect) == 1 and perfect[0].N is not None
+    by_cell = {(r.p, r.d, r.e, r.H, r.u): r for r in rows}
+
+    # a ψ that does not parse: one error row per cell, with the parser's message
+    with pytest.raises(ParseError) as parse_error:
+        parse_rational_expr("(x^2+1)/(", 31)
+    for H in (3, 4):
+        row = by_cell[(31, None, None, H, 0)]
+        assert (row.status, row.error) == ("error", str(parse_error.value))
+        assert row.N is None
+
+    # a λ-scan refusal other than a perfect power: an error row that still counts N
+    row = by_cell[(3, 3, 0, 2, 0)]
+    assert (row.status, row.error) == ("error", "need p > deg f + deg g = 3, got p = 3")
+    assert row.N == 2 and row.lambda_count is None
+
+    # a shifted cell is traced on ψ(x + u); x^2+x on {3, 4, 5} misses the order-5 subgroup
+    row = by_cell[(31, 2, 0, 3, 2)]
+    assert row.status == "ok" and row.N == 0
 
 
 def test_sweep_single_and_empty():
