@@ -360,12 +360,13 @@ def _pseudo_rem_y(ctx, A, B):
 
 
 def _gcd_y(F: BiPoly, G: BiPoly) -> BiPoly:
-    """Primitive gcd of nonzero F and G in (F_q[X])[Y] (content ignored)."""
+    """Primitive gcd of nonzero F and G in (F_q[X])[Y] (content ignored).
+
+    Precondition: deg_y F >= deg_y G, as for its one caller's F and F_Y.
+    """
     ctx = F.ctx
     A = F.to_y_view()
     B = G.to_y_view()
-    if len(A) < len(B):
-        A, B = B, A
     while B:
         R = _pseudo_rem_y(ctx, A, B)
         A, B = B, _primitive_y(ctx, R)

@@ -8,6 +8,7 @@ centered integer polynomials, and verify the integer identity
 F(x, y) = G(x, y) + z p at every congruent pair.
 """
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 from .counting import (
     Interval,
+    Subgroup,
     _eval_int_bipoly,
     congruent_pairs,
     count_values_in_subgroup,
@@ -139,19 +141,20 @@ def select_test_levels(p: int, H: int, exp: ExponentSet) -> LevelSelection:
     """
     if H < 2:
         raise PreconditionViolated(f"H must be >= 2, got {H}")
-    support = support_set(exp.ell, exp.m)
     s, k = exp.s, exp.k
     base = Fraction(2) * Fraction(p) ** (s - 1)
-    U = Surd(base * Fraction(H) ** k, s)
-    levels = {}
-    for (i, j) in support.pairs:
-        levels[(i, j)] = Surd(base * Fraction(H) ** (k - s * (i + j)), s)
-    vmax = levels[(1, 0)]
+    # the largest level, V_{1,0} = U/H, is checked before the others are built
+    vmax = Surd(base * Fraction(H) ** (k - s), s)
     if not vmax < p:
         raise WindowEmpty(
             f"max level U/H = {float(vmax):.6g} >= p = {p}",
             effective_c=_effective_c(p, H, exp),
         )
+    support = support_set(exp.ell, exp.m)
+    U = Surd(base * Fraction(H) ** k, s)
+    levels = {}
+    for (i, j) in support.pairs:
+        levels[(i, j)] = Surd(base * Fraction(H) ** (k - s * (i + j)), s)
     prod = Surd(1)
     for v in levels.values():
         prod = prod * v
@@ -227,6 +230,15 @@ def _eval_int_terms_horner(terms: dict, x: int, y: int) -> int:
     return acc
 
 
+def _check_trace_size(p: int, H: int, exp: ExponentSet) -> None:
+    if not 2 <= H < p:
+        raise PreconditionViolated(f"need 2 <= H < p, got H = {H}, p = {p}")
+    if exp.s > MAX_ENUM_DIM:
+        raise PreconditionViolated(
+            f"support size s = {exp.s} exceeds the dimension cap {MAX_ENUM_DIM}"
+        )
+
+
 def trace_proof(psi: RationalFunc, p: int, H: int, T: int, exceptional=None) -> ProofTrace:
     """Replay the constructive pipeline on one instance.
 
@@ -239,36 +251,68 @@ def trace_proof(psi: RationalFunc, p: int, H: int, T: int, exceptional=None) -> 
         raise DegenerateDegrees("ψ must be nonconstant")
     if perfect_power_exponent(psi) != 1:
         raise PerfectPowerInput(f"ψ = {psi.text()} is a perfect power")
-    if not 2 <= H < p:
-        raise PreconditionViolated(f"need 2 <= H < p, got H = {H}, p = {p}")
     exp = exponent_set(psi.d, psi.e)
-    if exp.s > MAX_ENUM_DIM:
-        raise PreconditionViolated(
-            f"support size s = {exp.s} exceeds the dimension cap {MAX_ENUM_DIM}"
-        )
+    _check_trace_size(p, H, exp)
     levels = select_test_levels(p, H, exp)
     G = subgroup_of_order(p, T)
-
-    count, witnesses = count_values_in_subgroup(psi, Interval(0, H), G)
-
     if exceptional is None:
         exceptional = {int(w.lam) for w in exceptional_lambdas(psi, p).exceptional}
-    else:
-        exceptional = set(exceptional)
-    lambda_count = len(exceptional)
+    return _trace(psi, H, G, exp, levels, set(exceptional))
 
-    best_lam = None
-    best_pairs = None
-    for lam in G.elements():
-        if lam in exceptional:
-            continue
-        pairs = congruent_pairs(psi, lam, H, p)
-        if best_pairs is None or len(pairs) > len(best_pairs):
-            best_lam, best_pairs = lam, pairs
-    if best_lam is None:
+
+def _choose_lambda(psi: RationalFunc, H: int, G: Subgroup, exceptional: set) -> tuple:
+    """(λ, pairs): the λ in G outside exceptional with the most pairs (x, y) in
+    [1, H]^2, poles excluded, with ψ(x) = λ ψ(y), the smallest on a tie.
+
+    For nonzero v and w, v/w lies in G exactly when v^T = w^T, so only the
+    ratios inside a bucket of equal v^T are counted, and G is not walked. A
+    pair with ψ(x) = ψ(y) = 0 counts for every λ. When no admissible λ is a
+    ratio, the smallest admissible element of G is taken.
+    """
+    p, T = G.p, G.order
+    zeros = 0
+    buckets: dict = {}
+    for x in range(1, H + 1):
+        v = psi.eval_raw(x)
+        if v == 0:
+            zeros += 1
+        elif v is not None:
+            buckets.setdefault(pow(v, T, p), []).append(v)
+    ratio_pairs: dict = {}
+    for bucket in buckets.values():
+        for w in bucket:
+            w_inv = pow(w, -1, p)
+            for v in bucket:
+                lam = v * w_inv % p
+                ratio_pairs[lam] = ratio_pairs.get(lam, 0) + 1
+    best = min(((-n, lam) for lam, n in ratio_pairs.items() if lam not in exceptional), default=None)
+    if best is not None:
+        return best[1], zeros * zeros - best[0]
+    if sum(1 for lam in exceptional if 0 < lam < p and pow(lam, T, p) == 1) == T:
         raise LambdaSetExhausted(
             f"every λ in the order-{T} subgroup is exceptional for ψ = {psi.text()}"
         )
+    # both take O(sqrt p) steps: G has T <= sqrt p elements, and otherwise
+    # about one c in (p - 1)/T lies in G
+    if T * T <= p:
+        lam = min(c for c in G.elements() if c not in exceptional)
+    else:
+        lam = next(c for c in itertools.count(1) if pow(c, T, p) == 1 and c not in exceptional)
+    return lam, zeros * zeros
+
+
+def _trace(psi: RationalFunc, H: int, G: Subgroup, exp: ExponentSet, levels: LevelSelection,
+           exceptional: set) -> ProofTrace:
+    """trace_proof past its checks: ψ lives over F_p, is nonconstant and no
+    perfect power, exp is its exponent set, 2 <= H < p, s is within the cap,
+    and levels = select_test_levels(p, H, exp)."""
+    p, T = G.p, G.order
+    count, witnesses = count_values_in_subgroup(psi, Interval(0, H), G)
+    lambda_count = len(exceptional)
+
+    best_lam, pair_count = _choose_lambda(psi, H, G, exceptional)
+    best_pairs = congruent_pairs(psi, best_lam, H, p)
+    assert len(best_pairs) == pair_count, "bucket count disagrees with the congruent pairs"
     m3 = exp.m**3
     rt_lower = Fraction(max(count * count - 4 * m3 * count, 0), T)
     rt_ok = Fraction(len(best_pairs)) >= rt_lower
@@ -353,7 +397,8 @@ def standard_sweep_cells() -> tuple:
 
 
 def _evaluate_group(p: int, psi_text: str, cells: list) -> list:
-    """Rows for all cells sharing (p, ψ); the λ scan is computed once."""
+    """Rows for all cells sharing (p, ψ); the λ scan and the exponent set are
+    computed once, and the levels once per H."""
     rows = []
     try:
         psi = parse_rational_expr(psi_text, p)
@@ -382,6 +427,8 @@ def _evaluate_group(p: int, psi_text: str, cells: list) -> list:
     except SubgroupValuesError as ex:
         lam_error = str(ex)
 
+    exp = None
+    levels: dict = {}  # H -> its LevelSelection, or the WindowEmpty it raised
     for c in cells:
         H, T, u = c["H"], c["T"], c.get("u", 0)
         N = bound = ratio = None
@@ -389,7 +436,9 @@ def _evaluate_group(p: int, psi_text: str, cells: list) -> list:
         error = ""
         try:
             psi_cell = psi.shift(u) if u else psi
-            exp = exponent_set(psi_cell.d, psi_cell.e)
+            if exp is None:
+                # ψ(x + u) has ψ's degrees; a degenerate ψ raises on every cell
+                exp = exponent_set(psi.d, psi.e)
             G = subgroup_of_order(p, T)
             N = count_values_in_subgroup(psi, Interval(u, H), G).count
             bound = value_count_bound(exp, p, H, T)
@@ -400,7 +449,17 @@ def _evaluate_group(p: int, psi_text: str, cells: list) -> list:
                 status = STATUS_ERROR
                 error = lam_error
             else:
-                trace_proof(psi_cell, p, H, T, exceptional=lam_set)
+                # the scan has refused constant maps and perfect powers, and
+                # ψ(x + u) is one exactly when ψ is
+                _check_trace_size(p, H, exp)
+                if H not in levels:
+                    try:
+                        levels[H] = select_test_levels(p, H, exp)
+                    except WindowEmpty as ex:
+                        levels[H] = ex
+                if isinstance(levels[H], WindowEmpty):
+                    raise levels[H]
+                _trace(psi_cell, H, G, exp, levels[H], lam_set)
         except WindowEmpty as ex:
             status = STATUS_WINDOW_EMPTY
             error = str(ex)

@@ -1,9 +1,19 @@
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from test_lambda_scan import ORACLE_MAPS
 
-from subgroup_values.counting import Interval, count_values_in_subgroup, subgroup_of_order
+from subgroup_values import pipeline
+from subgroup_values.counting import (
+    Interval,
+    Subgroup,
+    congruent_pairs,
+    count_values_in_subgroup,
+    subgroup_of_order,
+)
 from subgroup_values.errors import (
     BadRange,
     DegenerateDegrees,
@@ -13,7 +23,7 @@ from subgroup_values.errors import (
     PreconditionViolated,
     WindowEmpty,
 )
-from subgroup_values.fields import FieldCtx
+from subgroup_values.fields import FieldCtx, is_prime
 from subgroup_values.parsing import parse_rational_expr
 from subgroup_values.polynomials import UniPoly, rational_normalize
 from subgroup_values.pipeline import (
@@ -263,3 +273,118 @@ def test_sweep_single_and_empty():
 def test_sweep_parallel_matches_serial():
     cells = [c for c in standard_sweep_cells() if c["p"] == 31][:40]
     assert run_sweep(cells, jobs=2) == run_sweep(cells, jobs=1)
+
+
+def _choose_lambda_by_walking_g(psi, H, G, exceptional):
+    """The reference λ choice: count the congruent pairs of every admissible
+    λ in G, in increasing order, and keep the first with the most."""
+    best_lam = None
+    best_pairs = None
+    for lam in G.elements():
+        if lam in exceptional:
+            continue
+        pairs = congruent_pairs(psi, lam, H, G.p)
+        if best_pairs is None or len(pairs) > len(best_pairs):
+            best_lam, best_pairs = lam, pairs
+    if best_lam is None:
+        raise LambdaSetExhausted("every λ in G is exceptional")
+    return best_lam, len(best_pairs)
+
+
+def _nonzero_ratios(psi, H, G):
+    """Every ψ(x)/ψ(y) in G over nonzero values on [1, H]."""
+    p = G.p
+    vals = [v for v in map(psi.eval_raw, range(1, H + 1)) if v]
+    return {v * pow(w, -1, p) % p for v in vals for w in vals} & set(G.elements())
+
+
+def test_lambda_choice_matches_the_walk_over_g():
+    # every prime below 200, the λ-scan oracle maps plus one with a pole and one
+    # with a zero of ψ inside [1, H], shifted as sweep cells shift them, random
+    # H and T, and exceptional sets that leave the bucket count, the fallback
+    # to the smallest admissible element, or nothing at all
+    rng = random.Random(20261018)
+    maps = ORACLE_MAPS + ("(x^2+1)/(x-2)", "x^2-3*x")
+    fallbacks = Counter()
+    exhausted = 0
+    for p in filter(is_prime, range(5, 200)):
+        orders = [t for t in range(1, p) if (p - 1) % t == 0]
+        for expr in maps:
+            psi = parse_rational_expr(expr, p)
+            u = rng.randrange(p) if rng.random() < 0.3 else 0
+            cell = psi.shift(u) if u else psi
+            H = rng.randint(2, min(p - 1, 24))
+            G = subgroup_of_order(p, rng.choice(orders))
+            elements = G.elements()
+            ratios = _nonzero_ratios(cell, H, G)
+            for exceptional in (
+                set(),
+                set(rng.sample(elements, rng.randint(0, len(elements)))) | {p + 1},
+                ratios,
+                set(elements),
+            ):
+                try:
+                    want = _choose_lambda_by_walking_g(cell, H, G, exceptional)
+                except LambdaSetExhausted:
+                    with pytest.raises(LambdaSetExhausted):
+                        pipeline._choose_lambda(cell, H, G, exceptional)
+                    exhausted += 1
+                    continue
+                assert pipeline._choose_lambda(cell, H, G, exceptional) == want, (expr, p, u, H, G.order)
+                if ratios <= exceptional:
+                    fallbacks[G.order ** 2 <= p] += 1
+    assert fallbacks[True] and fallbacks[False] and exhausted
+
+    # ψ vanishes on all of [1, 2], so every λ has the same four pairs and the
+    # fallback takes λ = 1
+    psi = parse_rational_expr("x^2-3*x+2", 101)
+    for T in (5, 100):
+        G = subgroup_of_order(101, T)
+        assert pipeline._choose_lambda(psi, 2, G, set()) == (1, 4)
+        assert _choose_lambda_by_walking_g(psi, 2, G, set()) == (1, 4)
+
+
+def test_sweep_validates_and_levels_each_group_once(monkeypatch):
+    calls = Counter()
+    levels_args = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def levels(p, H, exp):
+        levels_args[(p, exp.d, exp.e, H)] += 1
+        return select_test_levels(p, H, exp)
+
+    monkeypatch.setattr(pipeline, "perfect_power_exponent",
+                        counted("perfect_power_exponent", pipeline.perfect_power_exponent))
+    monkeypatch.setattr(pipeline, "congruent_pairs", counted("congruent_pairs", pipeline.congruent_pairs))
+    monkeypatch.setattr(pipeline, "select_test_levels", levels)
+    rows = run_sweep(standard_sweep_cells())
+    ok = sum(r.status == "ok" for r in rows)
+    assert ok == 58
+    assert calls["perfect_power_exponent"] == 0
+    assert levels_args and max(levels_args.values()) == 1
+    assert calls["congruent_pairs"] == ok
+
+
+def test_trace_proof_never_walks_a_large_subgroup(monkeypatch):
+    p, H = 101, 3
+    psi = parse_rational_expr("x^2+x", p)
+    cases = []
+    for T in (50, 100):
+        G = subgroup_of_order(p, T)
+        cases.append((T, None, _choose_lambda_by_walking_g(psi, H, G, {1})))
+        ratios = _nonzero_ratios(psi, H, G)
+        cases.append((T, ratios, _choose_lambda_by_walking_g(psi, H, G, ratios)))
+
+    def walk(self):
+        raise AssertionError(f"walked the order-{self.order} subgroup")
+
+    monkeypatch.setattr(Subgroup, "elements", walk)
+    for T, exceptional, want in cases:
+        tr = trace_proof(psi, p, H, T, exceptional=exceptional)
+        assert (tr.chosen_lambda, tr.pair_count) == want
