@@ -3,6 +3,7 @@ counts over intervals, value-set intersections, shortest covering intervals,
 power-sum solution counts, congruent pairs, and integer points in boxes.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -20,6 +21,7 @@ from .fields import FieldCtx, check_prime, is_prime, prime_factors
 from .polynomials import RationalFunc, UniPoly, rational_normalize
 
 
+@functools.lru_cache(maxsize=None)
 def smallest_primitive_root(p: int) -> int:
     check_prime(p)
     if p == 2:

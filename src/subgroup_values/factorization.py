@@ -11,6 +11,7 @@ Outputs are deterministically ordered so scans and reports reproduce byte for
 byte.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -205,8 +206,6 @@ def factor_univariate(f: UniPoly) -> FactorMultiset:
 
 # --- embeddings between extensions of the same prime field ----------------------
 
-_EMBED_CACHE: dict = {}
-
 
 class Embedding:
     """F_{p^a} -> F_{p^b} with a | b, sending the source generator to the
@@ -251,14 +250,14 @@ class Embedding:
         src, dst = self.src, self.dst
         if self._identity:
             return a
+        # not the identity, so dst.t >= 2 and a is a tuple
         if src.t == 1:
-            vec = (a,) if dst.t == 1 else a
-            if any(vec[1:]):
+            if any(a[1:]):
                 return None
-            return vec[0]
+            return a[0]
         p = dst.p
-        cols = [pw if dst.t > 1 else (pw,) for pw in self._powers]
-        target = list(a if dst.t > 1 else (a,))
+        cols = self._powers
+        target = list(a)
         # gaussian elimination on the (dst.t x src.t) system
         rows = dst.t
         ncols = len(cols)
@@ -287,18 +286,14 @@ class Embedding:
             if mat[i][-1] % p:
                 return None
         # verify (the pivoting above assumed full column rank)
-        if self.map_raw(tuple(sol)) != (a if dst.t > 1 else dst.from_int(a)):
+        if self.map_raw(tuple(sol)) != a:
             return None
         return tuple(sol)
 
 
+@functools.lru_cache(maxsize=None)
 def get_embedding(src: FieldCtx, dst: FieldCtx) -> Embedding:
-    key = (src.p, src.t, src.modulus, dst.t, dst.modulus)
-    emb = _EMBED_CACHE.get(key)
-    if emb is None:
-        emb = Embedding(src, dst)
-        _EMBED_CACHE[key] = emb
-    return emb
+    return Embedding(src, dst)
 
 
 def embed_unipoly(f: UniPoly, dst: FieldCtx) -> UniPoly:
@@ -308,7 +303,7 @@ def embed_unipoly(f: UniPoly, dst: FieldCtx) -> UniPoly:
 
 def embed_bipoly(F: BiPoly, dst: FieldCtx) -> BiPoly:
     emb = get_embedding(F.ctx, dst)
-    return BiPoly(dst, {k: emb.map_raw(c) for k, c in F.terms.items()}, raw=True)
+    return BiPoly(dst, {k: emb.map_raw(c) for k, c in F.terms.items()})
 
 
 # --- bivariate machinery ----------------------------------------------------------
@@ -561,7 +556,7 @@ def _factor_via_extension(F: BiPoly):
     seen = {start.key()}
     cur = start
     while True:
-        cur = BiPoly(big, {k: big.rpow(c, q0) for k, c in cur.terms.items()}, raw=True)
+        cur = BiPoly(big, {k: big.rpow(c, q0) for k, c in cur.terms.items()})
         cur = cur.grlex_monic()
         if cur.key() in seen:
             break
@@ -579,7 +574,7 @@ def _factor_via_extension(F: BiPoly):
         dc = emb.descend_raw(c)
         assert dc is not None, "orbit product not defined over the base field"
         down[k] = dc
-    return BiPoly(ctx, down, raw=True)
+    return BiPoly(ctx, down)
 
 
 def find_proper_factor(F: BiPoly):
@@ -744,8 +739,6 @@ def perfect_power_exponent(psi: RationalFunc) -> int:
 def extract_power_root(psi: RationalFunc, n: int) -> RationalFunc:
     """A rational phi with phi^n = psi; coefficients may need a field extension
     when the leading coefficient is not an n-th power in the base field."""
-    if n == 1:
-        return psi
     ctx = psi.ctx
     roots = []
     for poly in (psi.num, psi.den):

@@ -255,18 +255,13 @@ class FieldCtx:
             yield tuple(digs)
 
     def el(self, x) -> "FieldElem":
-        if isinstance(x, FieldElem):
-            if x.ctx != self:
-                raise CtxMismatch("element belongs to a different field")
-            return x
+        """The element named by an int, reduced mod p, or, when t > 1, by a
+        tuple of t ints in ascending powers; anything else is a ValueError."""
         if isinstance(x, int):
             return FieldElem(self, self.from_int(x))
-        raw = tuple(int(c) % self.p for c in x)
-        if len(raw) != self.t:
-            raise ValueError(f"expected {self.t} coefficients, got {len(raw)}")
-        if self.t == 1:
-            return FieldElem(self, raw[0])
-        return FieldElem(self, raw)
+        if self.t == 1 or not isinstance(x, tuple) or len(x) != self.t:
+            raise ValueError(f"expected an int or a tuple of {self.t} coefficients, got {x!r}")
+        return FieldElem(self, tuple(int(c) % self.p for c in x))
 
     @property
     def one(self) -> "FieldElem":

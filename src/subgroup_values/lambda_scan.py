@@ -98,7 +98,7 @@ def build_sym_poly(psi: RationalFunc, lam) -> BiPoly:
             # - λ a_i b_j X^j Y^i  (from λ f(Y) g(X))
             k = (j, i)
             terms[k] = ctx.rsub(terms.get(k, ctx.zero_raw), ctx.rmul(lam_raw, v))
-    return BiPoly(ctx, terms, raw=True)
+    return BiPoly(ctx, terms)
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,10 @@ def _fiber_table(ctx: FieldCtx, f, g, n: int, ratios) -> dict:
     No P_μ is built to find the μ left out. The degree drops at ∞ when
     deg f < n, at μ = 0 when deg g < n and at μ = lc g / lc f when
     deg f = deg g. For the rest, the Wronskian rule: f P_μ' - f' P_μ = W =
-    f g' - f' g, and f vanishes at no root of P_μ, so P_μ has a repeated
+    f g' - f' g. W ≠ 0: as f and g are coprime, W = 0 forces f' = g' = 0,
+    so f and g are polynomials in X^p, hence constant as p > deg f + deg g;
+    exceptional_lambdas refuses both small p and constant ψ before it
+    builds a table. f vanishes at no root of P_μ, so P_μ has a repeated
     root exactly when μ = g(y)/f(y) at a root y of W with f(y) ≠ 0. For each
     irreducible factor w of W prime to f, g f⁻¹ mod w is that value: a
     constant μ in F_q, or, when it is not constant, a μ outside F_q. At a
@@ -151,9 +154,6 @@ def _fiber_table(ctx: FieldCtx, f, g, n: int, ratios) -> dict:
     can rule a out.
     """
     W = _usub(ctx, _umul(ctx, f, _uderiv(ctx, g)), _umul(ctx, _uderiv(ctx, f), g))
-    if not W:
-        # g/f is a function of X^p: every full-degree P_μ is a p-th power.
-        return {}
     skip = set()
     if len(f) != n + 1:
         skip.add(None)

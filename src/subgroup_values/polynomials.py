@@ -4,8 +4,11 @@ Coefficients are stored in raw form (see fields); the module-private _u*
 helpers work on plain lists of raws so factorization and lifting loops avoid
 object overhead. They are the one polynomial layer: fields also builds and
 inverts in F_{p^t} with them over F_p, and a BiPoly's Y-view is a list of
-such raw lists, one per power of Y. Degree of the zero polynomial is the
-NEG_INF sentinel, which keeps max/min degree formulas total.
+such raw lists, one per power of Y. UniPoly takes raw coefficients as given
+(from_ints converts ints); BiPoly sends an int coefficient through
+ctx.from_int and keeps any other value as a raw, which over F_p changes no
+raw, an int in [0, p). Degree of the zero polynomial is the NEG_INF
+sentinel, which keeps max/min degree formulas total.
 """
 
 from .errors import (
@@ -240,8 +243,7 @@ class UniPoly:
         if isinstance(other, UniPoly):
             self._check(other)
             return UniPoly(self.ctx, _umul(self.ctx, list(self.coeffs), list(other.coeffs)))
-        raw = other.raw if isinstance(other, FieldElem) else self.ctx.from_int(other)
-        return UniPoly(self.ctx, _uscale(self.ctx, list(self.coeffs), raw))
+        return UniPoly(self.ctx, _uscale(self.ctx, list(self.coeffs), self.ctx.from_int(other)))
 
     __rmul__ = __mul__
 
@@ -321,22 +323,22 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 class BiPoly:
-    """Sparse bivariate polynomial as a map (i, j) -> nonzero raw coefficient."""
+    """Sparse bivariate polynomial as a map (i, j) -> nonzero raw coefficient.
+
+    A coefficient given as an int goes through ctx.from_int, so -3 is
+    accepted; any other value is taken as a raw element of ctx unchecked.
+    Zero coefficients are dropped.
+    """
 
     __slots__ = ("ctx", "terms", "deg_x", "deg_y", "total_degree")
 
-    def __init__(self, ctx: FieldCtx, terms=None, raw: bool = False):
+    def __init__(self, ctx: FieldCtx, terms=None):
         self.ctx = ctx
         tm = {}
         if terms:
             for (i, j), c in terms.items():
-                if not raw:
-                    if isinstance(c, FieldElem):
-                        if c.ctx != ctx:
-                            raise CtxMismatch("coefficient from another field")
-                        c = c.raw
-                    elif isinstance(c, int):
-                        c = ctx.from_int(c)
+                if isinstance(c, int):
+                    c = ctx.from_int(c)
                 if not ctx.is_zero_raw(c):
                     tm[(i, j)] = c
         self.terms = tm
@@ -361,7 +363,7 @@ class BiPoly:
         ctx = self.ctx
         for k, c in other.terms.items():
             out[k] = ctx.radd(out.get(k, ctx.zero_raw), c)
-        return BiPoly(ctx, out, raw=True)
+        return BiPoly(ctx, out)
 
     def __sub__(self, other):
         self._check(other)
@@ -369,11 +371,9 @@ class BiPoly:
         ctx = self.ctx
         for k, c in other.terms.items():
             out[k] = ctx.rsub(out.get(k, ctx.zero_raw), c)
-        return BiPoly(ctx, out, raw=True)
+        return BiPoly(ctx, out)
 
-    def __mul__(self, other):
-        if not isinstance(other, BiPoly):
-            return self.scale(other)
+    def __mul__(self, other: "BiPoly"):
         self._check(other)
         ctx = self.ctx
         out = {}
@@ -385,15 +385,12 @@ class BiPoly:
                     out[k] = ctx.radd(out[k], v)
                 else:
                     out[k] = v
-        return BiPoly(ctx, out, raw=True)
+        return BiPoly(ctx, out)
 
     def scale(self, c):
+        """Every coefficient times the raw element c."""
         ctx = self.ctx
-        if isinstance(c, FieldElem):
-            c = c.raw
-        elif isinstance(c, int):
-            c = ctx.from_int(c)
-        return BiPoly(ctx, {k: ctx.rmul(v, c) for k, v in self.terms.items()}, raw=True)
+        return BiPoly(ctx, {k: ctx.rmul(v, c) for k, v in self.terms.items()})
 
     def _check(self, other):
         if self.ctx != other.ctx:
@@ -448,15 +445,14 @@ class BiPoly:
             for i, c in enumerate(row):
                 if not ctx.is_zero_raw(c):
                     terms[(i, j)] = c
-        return cls(ctx, terms, raw=True)
+        return cls(ctx, terms)
 
     def swap_vars(self) -> "BiPoly":
-        return BiPoly(self.ctx, {(j, i): c for (i, j), c in self.terms.items()}, raw=True)
+        return BiPoly(self.ctx, {(j, i): c for (i, j), c in self.terms.items()})
 
     def shift_x(self, a) -> "BiPoly":
-        """Substitute X -> X + a."""
+        """Substitute X -> X + a for a raw element a."""
         ctx = self.ctx
-        a = ctx.el(a).raw
         return BiPoly.from_y_view(ctx, [_ushift(ctx, r, a) for r in self.to_y_view()])
 
     def derivative_y(self) -> "BiPoly":
@@ -467,7 +463,7 @@ class BiPoly:
                 v = ctx.rmul(c, ctx.from_int(j))
                 if not ctx.is_zero_raw(v):
                     out[(i, j - 1)] = v
-        return BiPoly(ctx, out, raw=True)
+        return BiPoly(ctx, out)
 
     def grlex_lead(self):
         """Leading (monomial, coeff) under graded lex with X > Y."""
@@ -507,7 +503,7 @@ class BiPoly:
                     rem.pop(kk, None)
                 else:
                     rem[kk] = v
-        return BiPoly(ctx, quo, raw=True)
+        return BiPoly(ctx, quo)
 
     def key(self):
         return tuple(sorted((i, j, self.ctx.raw_key(c)) for (i, j), c in self.terms.items()))
@@ -551,9 +547,9 @@ class RationalFunc:
             if h.degree >= 1:
                 num = num // h
                 den = den // h
-            lc_inv = FieldElem(ctx, ctx.rinv(den.lc))
-            num = num * lc_inv
-            den = den * lc_inv
+            lc_inv = ctx.rinv(den.lc)
+            num = UniPoly(ctx, _uscale(ctx, list(num.coeffs), lc_inv))
+            den = UniPoly(ctx, _uscale(ctx, list(den.coeffs), lc_inv))
         self.num = num
         self.den = den
 

@@ -9,6 +9,7 @@ from subgroup_values.counting import (
     count_values_in_subgroup,
     integral_points_in_box,
     shortest_covering_interval,
+    smallest_primitive_root,
     subgroup_of_order,
     vinogradov_count,
 )
@@ -36,6 +37,7 @@ def test_subgroup_of_order_examples():
     assert g6.elements() == (1, 2, 3, 4, 5, 6)
     with pytest.raises(OrderDoesNotDivide):
         subgroup_of_order(7, 4)
+    assert smallest_primitive_root(2) == 1
 
 
 def test_subgroup_closure_property():
@@ -69,6 +71,9 @@ def test_count_values_in_subgroup_examples():
     inv = R(F7, [1], [0, 1])
     n, wit = count_values_in_subgroup(inv, interval, g3)
     assert n == 3 and wit == (1, 2, 4)
+
+    # a pole at x = 2 inside 1..5 is skipped
+    assert count_values_in_subgroup(R(F7, [1], [-2, 1]), Interval(0, 5), g3) == (2, (3, 4))
 
 
 def test_count_values_witness_recount():
@@ -264,6 +269,8 @@ def test_integral_points_large_box_path():
     r = integral_points_in_box({(0, 1): 1, (2, 0): -1}, 1200)  # Y = X^2, x <= 34
     assert r.count == 35
     assert r.reference is not None
+    # (X - 5)Y: the column x = 5 vanishes identically
+    assert integral_points_in_box({(1, 1): 1, (0, 1): -5}, 1000).count == 2001
 
 
 def test_integral_points_reference_magnitude():

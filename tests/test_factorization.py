@@ -60,6 +60,10 @@ def test_factor_univariate_examples():
     fm = factor_univariate(P(F5, 0, 0, 0, 0, 1))  # X^4
     assert fm.factors == ((P(F5, 0, 1), 4),)
 
+    # two cubics: equal-degree splitting by the trace map in characteristic 2
+    fm = factor_univariate(P(F2, 1, 1, 0, 1) * P(F2, 1, 0, 1, 1))
+    assert fm.factors == ((P(F2, 1, 0, 1, 1), 1), (P(F2, 1, 1, 0, 1), 1))
+
 
 def test_factor_univariate_zero_raises():
     with pytest.raises(ZeroPolynomial):
@@ -154,10 +158,10 @@ def test_cross_combination_has_no_univariate_factor():
         # r * P1(X) Q2(Y) - s * Q1(X) P2(Y)
         term1 = BiPoly(ctx, {(i, j): ctx.rmul(ctx.from_int(r), ctx.rmul(a, b))
                              for i, a in enumerate(p1.coeffs)
-                             for j, b in enumerate(q2.coeffs)}, raw=True)
+                             for j, b in enumerate(q2.coeffs)})
         term2 = BiPoly(ctx, {(i, j): ctx.rmul(ctx.from_int(s), ctx.rmul(a, b))
                              for i, a in enumerate(q1.coeffs)
-                             for j, b in enumerate(p2.coeffs)}, raw=True)
+                             for j, b in enumerate(p2.coeffs)})
         F = term1 - term2
         if F.is_zero():
             continue
@@ -320,7 +324,7 @@ def test_degenerate_specializations_fall_back_to_extension():
         terms[(i, 2)] = c
     for i, c in enumerate(w.coeffs):
         terms[(i, 0)] = F7.radd(terms.get((i, 0), 0), c)
-    F = BiPoly(F7, terms, raw=True)
+    F = BiPoly(F7, terms)
     assert F.total_degree == 6
     assert is_irreducible_bivariate(F)
 
@@ -425,7 +429,7 @@ def _pin_cases():
         for _ in range(rng.randint(2, 5)):
             i = rng.randint(0, deg)
             terms[(i, 0 if x_only else rng.randint(0, deg - i))] = rng.choice(elems)
-        return BiPoly(ctx, terms, raw=True)
+        return BiPoly(ctx, terms)
 
     out = []
     for k in range(200):
@@ -528,6 +532,7 @@ def test_perfect_power_exponent_examples():
     assert perfect_power_exponent(psi) == 3
     psi = R(F7, P(F7, 0, 0, 1), P(F7, 1, 1))
     assert perfect_power_exponent(psi) == 1
+    assert extract_power_root(psi, 1) == psi
     with pytest.raises(ConstantFunction):
         perfect_power_exponent(R(F7, P(F7, 3), P(F7, 1)))
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from test_lambda_scan import ORACLE_MAPS
 
-from subgroup_values import pipeline
+from subgroup_values import counting, pipeline
 from subgroup_values.counting import (
     Interval,
     Subgroup,
@@ -23,7 +23,7 @@ from subgroup_values.errors import (
     PreconditionViolated,
     WindowEmpty,
 )
-from subgroup_values.fields import FieldCtx, is_prime
+from subgroup_values.fields import FieldCtx, is_prime, prime_factors
 from subgroup_values.parsing import parse_rational_expr
 from subgroup_values.polynomials import UniPoly, rational_normalize
 from subgroup_values.pipeline import (
@@ -369,6 +369,20 @@ def test_sweep_validates_and_levels_each_group_once(monkeypatch):
     assert calls["perfect_power_exponent"] == 0
     assert levels_args and max(levels_args.values()) == 1
     assert calls["congruent_pairs"] == ok
+
+
+def test_sweep_finds_each_primitive_root_once(monkeypatch):
+    calls = Counter()
+
+    def factors(n):
+        calls[n] += 1
+        return prime_factors(n)
+
+    monkeypatch.setattr(counting, "prime_factors", factors)
+    counting.smallest_primitive_root.cache_clear()
+    run_sweep(standard_sweep_cells())
+    primes = {c["p"] for c in standard_sweep_cells()}
+    assert {p - 1: calls[p - 1] for p in primes} == {p - 1: 1 for p in primes}
 
 
 def test_trace_proof_never_walks_a_large_subgroup(monkeypatch):

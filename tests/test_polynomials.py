@@ -139,7 +139,7 @@ def test_bipoly_y_view_roundtrip():
     assert BiPoly.from_y_view(F7, zero.to_y_view()) == zero
     assert BiPoly.from_y_view(F7, []) == zero
     F25 = ext_field_build(5, 2)
-    G = BiPoly(F25, {(1, 0): (2, 3), (0, 2): (0, 1)}, raw=True)
+    G = BiPoly(F25, {(1, 0): (2, 3), (0, 2): (0, 1)})
     assert G.to_y_view() == [[(0, 0), (2, 3)], [], [(0, 1)]]
     assert BiPoly.from_y_view(F25, G.to_y_view()) == G
 

@@ -11,6 +11,9 @@ def test_basic_comparisons():
     assert Surd(2, 2) < 2
     assert Surd(4, 2) == 2
     assert Surd(8, 3) == 2
+    assert Surd(8, 3).as_fraction() == 2
+    assert Surd(Fraction(7, 2), 1).as_fraction() == Fraction(7, 2)
+    assert float(Surd(0, 2)) == 0.0
     assert Surd(9, 2) > Surd(8, 3)
     assert Surd(Fraction(1, 4), 2) == Fraction(1, 2)
 
