@@ -81,15 +81,15 @@ class Interval:
             raise PreconditionViolated(f"interval length {self.H} < 1")
 
     def xs(self, p: int):
+        """The residues, as a range when wrap is off; a window that leaves
+        [0, p) without wrap is refused here, before any residue is read."""
         if self.wrap:
-            for i in range(1, self.H + 1):
-                yield (self.u + i) % p
-        else:
-            if self.u < 0 or self.u + self.H >= p:
-                raise PreconditionViolated(
-                    f"interval {self.u}+1..{self.u}+{self.H} leaves [0, {p}) and wrap is off"
-                )
-            yield from range(self.u + 1, self.u + self.H + 1)
+            return ((self.u + i) % p for i in range(1, self.H + 1))
+        if self.u < 0 or self.u + self.H >= p:
+            raise PreconditionViolated(
+                f"interval {self.u}+1..{self.u}+{self.H} leaves [0, {p}) and wrap is off"
+            )
+        return range(self.u + 1, self.u + self.H + 1)
 
 
 class SubgroupCount(NamedTuple):

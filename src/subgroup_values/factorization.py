@@ -246,11 +246,12 @@ class Embedding:
         return acc
 
     def descend_raw(self, a):
-        """Preimage in the source field, or None when a is outside the image."""
+        """Preimage in the source field, or None when a is outside the image.
+
+        The embedding is not the identity (its one caller descends from a
+        proper extension), so dst.t >= 2 and a is a tuple.
+        """
         src, dst = self.src, self.dst
-        if self._identity:
-            return a
-        # not the identity, so dst.t >= 2 and a is a tuple
         if src.t == 1:
             if any(a[1:]):
                 return None

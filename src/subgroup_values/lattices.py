@@ -5,8 +5,10 @@ Shortest vectors come from a complete depth-first enumeration of the ball
 guaranteed by the volume bound. The basis is first reduced by integral LLL,
 purely as an accelerator, never as a correctness dependency; its exact integer
 Gram-Schmidt state (Gram determinants d and lam = d * mu) is the only
-Gram-Schmidt computation, and the enumeration prunes with it in exact integer
-arithmetic.
+Gram-Schmidt computation. Everything here is plain integer arithmetic: LLL
+rounds lam / d by integer division, the enumeration prunes with (d, lam) and
+visits one vector of each +-v pair, and the multiplier's bounds are checked
+by cross-multiplying integer powers.
 
 The small-residue multiplier is read off one shortest vector of an integer
 basis built from the floored bounds W_i = floor(V_i); Minkowski's theorem
@@ -103,6 +105,14 @@ def lattice_volume(B: LatticeBasis):
 # --- LLL (internal accelerator only) --------------------------------------------
 
 
+def _round_div(n: int, d: int) -> int:
+    """round(Fraction(n, d)) for d > 0: the nearest integer, ties to even."""
+    q, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and q & 1):
+        q += 1
+    return q
+
+
 def _lll_reduce(B: LatticeBasis):
     """Integral LLL with delta = 99/100 (Cohen, A Course in Computational
     Algebraic Number Theory, Alg. 2.6.7).
@@ -123,7 +133,7 @@ def _lll_reduce(B: LatticeBasis):
             break  # fall back to the current (still correct) basis
         for j in range(k - 1, -1, -1):
             if 2 * abs(lam[k][j]) > d[j + 1]:  # |mu[k][j]| > 1/2
-                m = round(Fraction(lam[k][j], d[j + 1]))
+                m = _round_div(lam[k][j], d[j + 1])
                 b[k] = [x - m * y for x, y in zip(b[k], b[j])]
                 U[k] = [x - m * y for x, y in zip(U[k], U[j])]
                 lam[k][j] -= m * d[j + 1]
@@ -152,7 +162,8 @@ def _lll_reduce(B: LatticeBasis):
 
 
 def _enumerate_ball(cols, d, lam, linf_bound: int):
-    """All nonzero lattice vectors with infinity norm <= linf_bound, complete.
+    """One vector of each +-v pair of nonzero lattice vectors with infinity
+    norm <= linf_bound, complete.
 
     Enumerates the L2 ball of radius sqrt(dim) * linf_bound with exact
     pruning, then filters by the infinity norm. The Gram-Schmidt data of cols
@@ -160,6 +171,11 @@ def _enumerate_ball(cols, d, lam, linf_bound: int):
     centre is -N / d[i+1] for the integer N = sum_j lam[j][i] z_j, and a step
     adds (z d[i+1] + N)^2 / (d[i] d[i+1]) to the squared length, so every
     partial length is an integer multiple of 1/M with M = lcm_i d[i] d[i+1].
+
+    Only coefficient vectors whose top nonzero coefficient is positive are
+    visited: while every higher coefficient is 0 the centre is 0 and a level
+    takes z >= 0, since -v has the negated coefficients. partial[i] holds
+    sum_{j >= i} z_j cols[j], so a leaf vector is one add.
     """
     r = len(cols)
     s = len(cols[0])
@@ -169,30 +185,32 @@ def _enumerate_ball(cols, d, lam, linf_bound: int):
 
     out = []
     coeffs = [0] * r
+    partial = [None] * r + [[0] * s]
     nodes = 0
 
-    def go(level, used):
+    def go(level, used, top):
+        # top: every coefficient above this level is 0
         nonlocal nodes
         dl = d[level + 1]
         N = sum(lam[j][level] * coeffs[j] for j in range(level + 1, r))
         # exactly the z with (z dl + N)^2 * scale <= R2M - used
         a = math.isqrt((R2M - used) // scale[level])
-        for z in range(-((a + N) // dl), (a - N) // dl + 1):
+        col, above = cols[level], partial[level + 1]
+        for z in range(0 if top else -((a + N) // dl), (a - N) // dl + 1):
             nodes += 1
             if nodes > NODE_BUDGET:
                 raise SearchSpaceTooLarge(f"enumeration exceeded {NODE_BUDGET} nodes")
             coeffs[level] = z
+            vec = [x + z * c for x, c in zip(above, col)]
             if level == 0:
-                vec = tuple(
-                    sum(coeffs[i] * cols[i][t] for i in range(r)) for t in range(s)
-                )
-                if any(vec) and max(abs(x) for x in vec) <= linf_bound:
-                    out.append((vec, tuple(coeffs)))
+                if any(vec) and max(map(abs, vec)) <= linf_bound:
+                    out.append((tuple(vec), tuple(coeffs)))
             else:
-                go(level - 1, used + (z * dl + N) ** 2 * scale[level])
+                partial[level] = vec
+                go(level - 1, used + (z * dl + N) ** 2 * scale[level], top and z == 0)
         coeffs[level] = 0
 
-    go(r - 1, 0)
+    go(r - 1, 0, True)
     return out
 
 
@@ -239,10 +257,12 @@ def shortest_vector_enum(B: LatticeBasis) -> tuple:
 # --- small-residue multipliers ------------------------------------------------------
 
 
-def _as_exact(v):
+def _as_root(v) -> tuple:
+    """(a, b, k) with v = (a/b)^(1/k) and b > 0."""
     if isinstance(v, Surd):
-        return v
-    return Fraction(v)
+        return v.radicand.numerator, v.radicand.denominator, v.index
+    f = Fraction(v)
+    return f.numerator, f.denominator, 1
 
 
 def _floor_bound(v) -> int:
@@ -275,21 +295,28 @@ class SmallResidueInstance:
         return tuple(_floor_bound(v) for v in self.bounds)
 
     def validate(self) -> None:
-        """Check 1 <= V_i < p for all i and prod V_i > p^(s-1), exactly."""
+        """Check 1 <= V_i < p for all i and prod V_i > p^(s-1), exactly.
+
+        With V_i = (a_i/b_i)^(1/k_i) and L = lcm k_i, the checks are the
+        integer inequalities b_i <= a_i < b_i p^k_i and
+        prod a_i^(L/k_i) > p^((s-1) L) prod b_i^(L/k_i).
+        """
         p = self.p
+        roots = []
         for i, v in enumerate(self.bounds):
-            ev = _as_exact(v)
-            if not ev >= 1:
+            a, b, k = _as_root(v)
+            if a < b:
                 raise PreconditionViolated(f"V[{i}] = {v} violates V_i >= 1")
-            if not ev < p:
+            if a >= b * p**k:
                 raise PreconditionViolated(f"V[{i}] = {v} violates V_i < p = {p}")
-        prod = Surd(1)
-        for v in self.bounds:
-            prod = prod * (v if isinstance(v, Surd) else Fraction(v))
-        target = Fraction(p) ** (self.s - 1)
-        if not prod > target:
+            roots.append((a, b, k))
+        L = math.lcm(*(k for _, _, k in roots))
+        num = math.prod(a ** (L // k) for a, _, k in roots)
+        den = math.prod(b ** (L // k) for _, b, k in roots)
+        if num <= p ** ((self.s - 1) * L) * den:
+            prod = Surd(Fraction(num, den), L)
             raise PreconditionViolated(
-                f"prod V_i = {float(prod):.6g} violates prod > p^(s-1) = {target}"
+                f"prod V_i = {float(prod):.6g} violates prod > p^(s-1) = {p ** (self.s - 1)}"
             )
 
     def satisfied_by(self, v: int) -> bool:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .counting import (
     Interval,
     Subgroup,
+    SubgroupCount,
     _eval_int_bipoly,
     congruent_pairs,
     count_values_in_subgroup,
@@ -257,12 +258,23 @@ def trace_proof(psi: RationalFunc, p: int, H: int, T: int, exceptional=None) -> 
     G = subgroup_of_order(p, T)
     if exceptional is None:
         exceptional = {int(w.lam) for w in exceptional_lambdas(psi, p).exceptional}
-    return _trace(psi, H, G, exp, levels, set(exceptional))
+    values = [psi.eval_raw(x) for x in range(1, H + 1)]
+    counted = count_values_in_subgroup(psi, Interval(0, H), G)
+    return _trace(psi, G, exp, levels, set(exceptional), values, counted)
 
 
-def _choose_lambda(psi: RationalFunc, H: int, G: Subgroup, exceptional: set) -> tuple:
+def _count_values(values: list, G: Subgroup) -> SubgroupCount:
+    """count_values_in_subgroup on the interval 1..len(values), read from ψ's
+    raw values there (None at a pole)."""
+    p, T = G.p, G.order
+    witnesses = tuple(x for x, v in enumerate(values, 1) if v and pow(v, T, p) == 1)
+    return SubgroupCount(len(witnesses), witnesses)
+
+
+def _choose_lambda(psi: RationalFunc, values: list, G: Subgroup, exceptional: set) -> tuple:
     """(λ, pairs): the λ in G outside exceptional with the most pairs (x, y) in
-    [1, H]^2, poles excluded, with ψ(x) = λ ψ(y), the smallest on a tie.
+    [1, H]^2, poles excluded, with ψ(x) = λ ψ(y), the smallest on a tie;
+    values holds ψ's raw values on 1..H, None at a pole.
 
     For nonzero v and w, v/w lies in G exactly when v^T = w^T, so only the
     ratios inside a bucket of equal v^T are counted, and G is not walked. A
@@ -272,8 +284,7 @@ def _choose_lambda(psi: RationalFunc, H: int, G: Subgroup, exceptional: set) -> 
     p, T = G.p, G.order
     zeros = 0
     buckets: dict = {}
-    for x in range(1, H + 1):
-        v = psi.eval_raw(x)
+    for v in values:
         if v == 0:
             zeros += 1
         elif v is not None:
@@ -301,16 +312,18 @@ def _choose_lambda(psi: RationalFunc, H: int, G: Subgroup, exceptional: set) -> 
     return lam, zeros * zeros
 
 
-def _trace(psi: RationalFunc, H: int, G: Subgroup, exp: ExponentSet, levels: LevelSelection,
-           exceptional: set) -> ProofTrace:
+def _trace(psi: RationalFunc, G: Subgroup, exp: ExponentSet, levels: LevelSelection,
+           exceptional: set, values: list, counted: SubgroupCount) -> ProofTrace:
     """trace_proof past its checks: ψ lives over F_p, is nonconstant and no
     perfect power, exp is its exponent set, 2 <= H < p, s is within the cap,
-    and levels = select_test_levels(p, H, exp)."""
-    p, T = G.p, G.order
-    count, witnesses = count_values_in_subgroup(psi, Interval(0, H), G)
+    levels = select_test_levels(p, H, exp), values holds ψ's raw values on
+    1..H (None at a pole) and counted is count_values_in_subgroup of ψ on
+    1..H."""
+    p, T, H = G.p, G.order, levels.H
+    count, witnesses = counted
     lambda_count = len(exceptional)
 
-    best_lam, pair_count = _choose_lambda(psi, H, G, exceptional)
+    best_lam, pair_count = _choose_lambda(psi, values, G, exceptional)
     best_pairs = congruent_pairs(psi, best_lam, H, p)
     assert len(best_pairs) == pair_count, "bucket count disagrees with the congruent pairs"
     m3 = exp.m**3
@@ -398,7 +411,9 @@ def standard_sweep_cells() -> tuple:
 
 def _evaluate_group(p: int, psi_text: str, cells: list) -> list:
     """Rows for all cells sharing (p, ψ); the λ scan and the exponent set are
-    computed once, and the levels once per H."""
+    computed once, the levels once per H, and ψ once per point of each
+    shift's window: a cell's count and its trace read the values of ψ on
+    u+1..u+H, which are those of ψ(x + u) on 1..H."""
     rows = []
     try:
         psi = parse_rational_expr(psi_text, p)
@@ -429,6 +444,7 @@ def _evaluate_group(p: int, psi_text: str, cells: list) -> list:
 
     exp = None
     levels: dict = {}  # H -> its LevelSelection, or the WindowEmpty it raised
+    values: dict = {}  # u -> ψ's raw values on u+1, u+2, ..., as far as read
     for c in cells:
         H, T, u = c["H"], c["T"], c.get("u", 0)
         N = bound = ratio = None
@@ -440,7 +456,12 @@ def _evaluate_group(p: int, psi_text: str, cells: list) -> list:
                 # ψ(x + u) has ψ's degrees; a degenerate ψ raises on every cell
                 exp = exponent_set(psi.d, psi.e)
             G = subgroup_of_order(p, T)
-            N = count_values_in_subgroup(psi, Interval(u, H), G).count
+            xs = Interval(u, H).xs(p)
+            vals = values.setdefault(u, [])
+            vals += map(psi.eval_raw, xs[len(vals):])
+            window = vals[:H]
+            counted = _count_values(window, G)
+            N = counted.count
             bound = value_count_bound(exp, p, H, T)
             ratio = N / bound if bound else None
             if perfect:
@@ -459,7 +480,7 @@ def _evaluate_group(p: int, psi_text: str, cells: list) -> list:
                         levels[H] = ex
                 if isinstance(levels[H], WindowEmpty):
                     raise levels[H]
-                _trace(psi_cell, H, G, exp, levels[H], lam_set)
+                _trace(psi_cell, G, exp, levels[H], lam_set, window, counted)
         except WindowEmpty as ex:
             status = STATUS_WINDOW_EMPTY
             error = str(ex)

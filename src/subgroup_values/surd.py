@@ -52,9 +52,12 @@ class Surd:
     __rmul__ = __mul__
 
     def _cmp(self, other) -> int:
+        # (a/b)^(1/k) against (c/d)^(1/k'): a^k' d^k against c^k b^k'
         o = Surd._lift(other)
-        left = self.radicand ** o.index
-        right = o.radicand**self.index
+        a, b = self.radicand.numerator, self.radicand.denominator
+        c, d = o.radicand.numerator, o.radicand.denominator
+        left = a**o.index * d**self.index
+        right = c**self.index * b**o.index
         if left == right:
             return 0
         return -1 if left < right else 1

@@ -1,9 +1,12 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from subgroup_values.errors import (
     MultiplierNotFound,
@@ -22,7 +25,7 @@ from subgroup_values.lattices import (
     lattice_volume,
     shortest_vector_enum,
 )
-from subgroup_values.surd import Surd
+from subgroup_values.surd import Surd, iroot
 
 
 def test_lattice_volume_examples():
@@ -482,3 +485,191 @@ def test_multiplier_refusals_keep_their_order_and_message(b, V, message):
     with pytest.raises(PreconditionViolated) as err:
         find_small_residue_multiplier(SmallResidueInstance(11, b, V))
     assert str(err.value) == message
+
+
+# --- integer arithmetic against the Fraction and full-ball references --------------
+
+
+def _full_ball(cols, d, lam, linf_bound):
+    """The reference enumeration: every nonzero vector of the ball, v and -v
+    both, each leaf vector summed from all the columns."""
+    r = len(cols)
+    s = len(cols[0])
+    M = math.lcm(*(d[i] * d[i + 1] for i in range(r)))
+    R2M = s * linf_bound * linf_bound * M
+    scale = [M // (d[i] * d[i + 1]) for i in range(r)]
+    out = []
+    coeffs = [0] * r
+
+    def go(level, used):
+        dl = d[level + 1]
+        N = sum(lam[j][level] * coeffs[j] for j in range(level + 1, r))
+        a = math.isqrt((R2M - used) // scale[level])
+        for z in range(-((a + N) // dl), (a - N) // dl + 1):
+            coeffs[level] = z
+            if level == 0:
+                vec = tuple(sum(coeffs[i] * cols[i][t] for i in range(r)) for t in range(s))
+                if any(vec) and max(abs(x) for x in vec) <= linf_bound:
+                    out.append((vec, tuple(coeffs)))
+            else:
+                go(level - 1, used + (z * dl + N) ** 2 * scale[level])
+        coeffs[level] = 0
+
+    go(r - 1, 0)
+    return out
+
+
+def _reduced_and_bound(B):
+    """_lll_reduce(B) and the infinity-norm bound _shortest enumerates to."""
+    reduced, U, d, lam = _lll_reduce(B)
+    bound = max(iroot(B.gram_det, 2 * B.rank), 1)
+    bound = min(bound, min(max(abs(x) for x in col) for col in reduced))
+    return reduced, U, d, lam, bound
+
+
+def _shortest_by_full_ball(B):
+    reduced, U, d, lam, bound = _reduced_and_bound(B)
+    vec, cred = min(
+        (lattices._canonical(v, c) for v, c in _full_ball(reduced, d, lam, bound)),
+        key=lambda t: (max(map(abs, t[0])), sum(x * x for x in t[0]), tuple(-x for x in t[0])),
+    )
+    return vec, tuple(sum(cred[i] * U[i][j] for i in range(B.rank)) for j in range(B.rank))
+
+
+def _check_half_ball(B):
+    """_shortest equals the full-ball reference, and _enumerate_ball returns
+    exactly one vector of each +-v pair of the full ball."""
+    assert lattices._shortest(B) == _shortest_by_full_ball(B)
+    reduced, _, d, lam, bound = _reduced_and_bound(B)
+    half = lattices._enumerate_ball(reduced, d, lam, bound)
+    vecs = {v for v, _ in half}
+    assert len(vecs) == len(half)
+    assert not any(tuple(-x for x in v) in vecs for v in vecs)
+    neg = {(tuple(-x for x in v), tuple(-z for z in c)) for v, c in half}
+    assert set(half) | neg == set(_full_ball(reduced, d, lam, bound))
+    for _, c in half:
+        assert next(z for z in reversed(c) if z) > 0
+    return half
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), r=st.integers(1, 6), m=st.sampled_from((3, 50, 10**4, 10**9)))
+def test_half_ball_matches_the_full_ball_on_random_bases(data, r, m):
+    dim = data.draw(st.integers(r, 6))
+    cols = data.draw(st.lists(st.lists(st.integers(-m, m), min_size=dim, max_size=dim),
+                              min_size=r, max_size=r))
+    try:
+        B = LatticeBasis(cols)
+    except RankDeficient:
+        assume(False)
+    _check_half_ball(B)
+
+
+def test_half_ball_matches_the_full_ball_on_multiplier_bases():
+    # 120 bases as the multiplier builds them: s = 2..6 over small, mid and
+    # wide primes, 8 per (tier, s)
+    rng = random.Random(20261019)
+    for lo, hi in ((11, 2000), (2001, 200000), (2**20, 2**32 - 1)):
+        for s in range(2, 7):
+            for _ in range(8):
+                _check_half_ball(build_red_basis(_pin_instance(rng, lo, hi, s)))
+    # the worked example, whose ball holds a vector with a zero top coefficient
+    half = _check_half_ball(build_red_basis(SmallResidueInstance(11, (1, 5), (3, 4))))
+    assert any(c[-1] == 0 for _, c in half)
+
+
+def test_lll_rounding_is_round_half_even():
+    rng = random.Random(20261021)
+    for _ in range(3000):
+        d = rng.randint(1, 10 ** rng.randint(1, 40))
+        n = rng.randint(-(10 ** rng.randint(1, 60)), 10 ** rng.randint(1, 60))
+        assert lattices._round_div(n, d) == round(Fraction(n, d))
+    # exact ties n/d = k + 1/2, both signs and both parities of k
+    for half in (1, 3, 10**20 + 7):
+        for k in range(-6, 7):
+            n, d = (2 * k + 1) * half, 2 * half
+            assert lattices._round_div(n, d) == round(Fraction(n, d)) == k + (k & 1)
+
+
+def _validate_by_surd_products(inst):
+    """The reference validation: Fraction and Surd comparisons, and the
+    product of the bounds as a Surd."""
+    p = inst.p
+    for i, v in enumerate(inst.bounds):
+        ev = v if isinstance(v, Surd) else Fraction(v)
+        if not ev >= 1:
+            raise PreconditionViolated(f"V[{i}] = {v} violates V_i >= 1")
+        if not ev < p:
+            raise PreconditionViolated(f"V[{i}] = {v} violates V_i < p = {p}")
+    prod = Surd(1)
+    for v in inst.bounds:
+        prod = prod * (v if isinstance(v, Surd) else Fraction(v))
+    target = Fraction(p) ** (inst.s - 1)
+    if not prod > target:
+        raise PreconditionViolated(
+            f"prod V_i = {float(prod):.6g} violates prod > p^(s-1) = {target}"
+        )
+
+
+def _refusal(check, inst):
+    try:
+        check(inst)
+    except PreconditionViolated as err:
+        return str(err)
+    return None
+
+
+def _bound_variants(rng, inst):
+    """inst, and copies with one bound moved onto or across each boundary:
+    V_i = 1, V_i = p, V_i below 1, and prod V_i = p^(s-1) exactly."""
+    p, V = inst.p, list(inst.bounds)
+    out = [V]
+    i = rng.randrange(len(V))
+    for w in (1, Surd(1, 3), p, Surd(p**2, 2), Fraction(3 * p, 3), p - Fraction(1, 7),
+              Surd(p**3 - 1, 3), 0, Fraction(6, 7), Surd(Fraction(99, 100), 2)):
+        out.append(V[:i] + [w] + V[i + 1:])
+    # the last bound (a/b)^(1/6) with prod V_i = p^(s-1) exactly, then nudged
+    # above and below it
+    rest = Fraction(p) ** (6 * (len(V) - 1))
+    for v in V[:-1]:
+        rest /= (v.radicand ** (6 // v.index)) if isinstance(v, Surd) else Fraction(v) ** 6
+    for nudge in (1, Fraction(10**12 + 1, 10**12), Fraction(10**12 - 1, 10**12)):
+        out.append(V[:-1] + [Surd(rest * nudge, 6)])
+    return [SmallResidueInstance(p, inst.b, tuple(w)) for w in out]
+
+
+def test_integer_validation_matches_surd_products():
+    rng = random.Random(20261022)
+    seen = Counter()
+    for kind in ("int", "fraction", "surd", "mixed"):
+        for lo, hi in _TIERS:
+            for s in range(2, 7):
+                for _ in range(4):
+                    if kind == "mixed":
+                        inst = _valid_instance(rng, lo, hi, s, rng.choice(("int", "fraction")))
+                        # square and cube roots next to ints and Fractions
+                        V = []
+                        for v in inst.bounds:
+                            k = rng.choice((1, 2, 3))
+                            V.append(v if k == 1 else Surd(Fraction(v) ** k, k))
+                        inst = SmallResidueInstance(inst.p, inst.b, tuple(V))
+                    else:
+                        inst = _valid_instance(rng, lo, hi, s, kind)
+                    for case in _bound_variants(rng, inst):
+                        want = _refusal(_validate_by_surd_products, case)
+                        assert _refusal(SmallResidueInstance.validate, case) == want, case
+                        seen[want and want.split(" violates ")[1][:6]] += 1
+    # each of the three refusals, and acceptance, was reached
+    assert set(seen) == {None, "V_i >=", "V_i < ", "prod >"}
+    # the exact boundaries are refused with the reference's message
+    p = 11
+    for V, message in (
+        ((Fraction(11, 2), 2), "prod V_i = 11 violates prod > p^(s-1) = 11"),
+        ((Surd(11, 2), Surd(11, 2)), "prod V_i = 11 violates prod > p^(s-1) = 11"),
+        ((Surd(121, 3),) * 3, "prod V_i = 121 violates prod > p^(s-1) = 121"),
+        ((11, 2), "V[0] = 11 violates V_i < p = 11"),
+        ((3, Surd(121, 2)), "V[1] = Surd(121)^(1/2) violates V_i < p = 11"),
+    ):
+        inst = SmallResidueInstance(p, (1,) * len(V), V)
+        assert _refusal(SmallResidueInstance.validate, inst) == message
+        assert _refusal(_validate_by_surd_products, inst) == message

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -21,11 +22,14 @@ from subgroup_values.errors import (
     ParseError,
     PerfectPowerInput,
     PreconditionViolated,
+    SubgroupValuesError,
     WindowEmpty,
 )
 from subgroup_values.fields import FieldCtx, is_prime, prime_factors
+from subgroup_values.lambda_scan import exceptional_lambdas
 from subgroup_values.parsing import parse_rational_expr
-from subgroup_values.polynomials import UniPoly, rational_normalize
+from subgroup_values.polynomials import RationalFunc, UniPoly, rational_normalize
+from subgroup_values.reporting import STATUS_ERROR, STATUS_OK, STATUS_WINDOW_EMPTY, ReportRow
 from subgroup_values.pipeline import (
     exponent_set,
     reduce_perfect_power,
@@ -291,6 +295,10 @@ def _choose_lambda_by_walking_g(psi, H, G, exceptional):
     return best_lam, len(best_pairs)
 
 
+def _values(psi, H):
+    return [psi.eval_raw(x) for x in range(1, H + 1)]
+
+
 def _nonzero_ratios(psi, H, G):
     """Every ψ(x)/ψ(y) in G over nonzero values on [1, H]."""
     p = G.p
@@ -327,10 +335,10 @@ def test_lambda_choice_matches_the_walk_over_g():
                     want = _choose_lambda_by_walking_g(cell, H, G, exceptional)
                 except LambdaSetExhausted:
                     with pytest.raises(LambdaSetExhausted):
-                        pipeline._choose_lambda(cell, H, G, exceptional)
+                        pipeline._choose_lambda(cell, _values(cell, H), G, exceptional)
                     exhausted += 1
                     continue
-                assert pipeline._choose_lambda(cell, H, G, exceptional) == want, (expr, p, u, H, G.order)
+                assert pipeline._choose_lambda(cell, _values(cell, H), G, exceptional) == want, (expr, p, u, H, G.order)
                 if ratios <= exceptional:
                     fallbacks[G.order ** 2 <= p] += 1
     assert fallbacks[True] and fallbacks[False] and exhausted
@@ -340,7 +348,7 @@ def test_lambda_choice_matches_the_walk_over_g():
     psi = parse_rational_expr("x^2-3*x+2", 101)
     for T in (5, 100):
         G = subgroup_of_order(101, T)
-        assert pipeline._choose_lambda(psi, 2, G, set()) == (1, 4)
+        assert pipeline._choose_lambda(psi, _values(psi, 2), G, set()) == (1, 4)
         assert _choose_lambda_by_walking_g(psi, 2, G, set()) == (1, 4)
 
 
@@ -402,3 +410,88 @@ def test_trace_proof_never_walks_a_large_subgroup(monkeypatch):
     for T, exceptional, want in cases:
         tr = trace_proof(psi, p, H, T, exceptional=exceptional)
         assert (tr.chosen_lambda, tr.pair_count) == want
+
+
+def _rows_by_counting_each_cell(cells):
+    """The reference sweep: each cell counts N with count_values_in_subgroup
+    on u+1..u+H and traces ψ(x + u) with the public trace_proof."""
+    groups: dict = {}
+    for c in cells:
+        groups.setdefault((c["p"], c["psi"]), []).append(c)
+    rows = []
+    for (p, text), grp in groups.items():
+        psi = parse_rational_expr(text, p)
+        report = exceptional_lambdas(psi, p)
+        lam_set = {int(w.lam) for w in report.exceptional}
+        exp = exponent_set(psi.d, psi.e)
+        for c in grp:
+            H, T, u = c["H"], c["T"], c["u"]
+            N = bound = ratio = None
+            status, error = STATUS_OK, ""
+            try:
+                G = subgroup_of_order(p, T)
+                N = count_values_in_subgroup(psi, Interval(u, H), G).count
+                bound = value_count_bound(exp, p, H, T)
+                ratio = N / bound
+                trace_proof(psi.shift(u) if u else psi, p, H, T, exceptional=lam_set)
+            except WindowEmpty as ex:
+                status, error = STATUS_WINDOW_EMPTY, str(ex)
+            except SubgroupValuesError as ex:
+                status, error = STATUS_ERROR, str(ex)
+            rows.append(ReportRow(
+                p=p, d=psi.num.degree, e=psi.den.degree, H=H, T=T, u=u, N=N, bound=bound,
+                ratio=ratio, lambda_count=report.count, status=status, error=error,
+            ))
+    rows.sort(key=ReportRow.sort_key)
+    return rows
+
+
+def test_sweep_reads_each_window_once_and_matches_counting_each_cell(monkeypatch):
+    # the standard cells, and shifts u = 0, 2 and p - H, the last refused
+    # because u + H reaches p; H = 8 comes first, so shorter windows read
+    # a prefix of the values already read
+    shifted = [
+        {"p": p, "psi": psi, "H": H, "T": T, "u": u}
+        for p in (31, 61, 101)
+        for psi in ("x^2+x", "x^3+x", "(x^2+1)/(x+2)")
+        for H in (8, 3, 5)
+        for T in (t for t in range(2, 21) if (p - 1) % t == 0)
+        for u in (0, 2, p - H)
+    ]
+    want = {}
+    for name, cells in (("standard", standard_sweep_cells()), ("shifted", shifted)):
+        want[name] = _rows_by_counting_each_cell(cells)
+
+    def recount(*args):
+        raise AssertionError("the sweep recounted a window with count_values_in_subgroup")
+
+    reads = Counter()
+    eval_raw = RationalFunc.eval_raw
+
+    def counting_eval_raw(psi, x):
+        reads[sys._getframe(1).f_code.co_name] += 1
+        return eval_raw(psi, x)
+
+    monkeypatch.setattr(pipeline, "count_values_in_subgroup", recount)
+    monkeypatch.setattr(RationalFunc, "eval_raw", counting_eval_raw)
+    assert run_sweep(standard_sweep_cells()) == want["standard"]
+    rows = run_sweep(shifted)
+    assert rows == want["shifted"]
+    # each sweep reads ψ once per point of each (p, ψ, u) window, which runs
+    # over u+1..u+H for the largest H
+    points = 0
+    for cells in (standard_sweep_cells(), shifted):
+        windows = Counter()
+        for c in cells:
+            if c["u"] + c["H"] < c["p"]:
+                key = (c["p"], c["psi"], c["u"])
+                windows[key] = max(windows[key], c["H"])
+        points += sum(windows.values())
+    assert reads["_evaluate_group"] == points
+    by_u = Counter((r.u == 2, r.status) for r in rows if r.u != r.p - r.H)
+    assert by_u[(True, STATUS_OK)] and by_u[(False, STATUS_OK)]
+    refused = [r for r in rows if r.u == r.p - r.H]
+    assert refused
+    for r in refused:
+        assert (r.status, r.N) == (STATUS_ERROR, None)
+        assert r.error == f"interval {r.u}+1..{r.u}+{r.H} leaves [0, {r.p}) and wrap is off"

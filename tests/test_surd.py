@@ -85,3 +85,25 @@ def test_comparison_matches_floats(a, b, n, m):
 def test_multiplication_matches_floats(a, b, n):
     x = Surd(a, n) * Surd(b, n)
     assert float(x) == pytest.approx(float(Surd(a, n)) * float(Surd(b, n)), rel=1e-9)
+
+
+@given(
+    num=st.integers(0, 10**6),
+    den=st.integers(1, 10**3),
+    n=st.integers(1, 5),
+    m=st.integers(1, 3),
+    other=st.one_of(
+        st.integers(0, 100),
+        st.fractions(0, 100, max_denominator=50),
+        st.builds(Surd, st.fractions(0, 10**6, max_denominator=10**3), st.integers(1, 5)),
+    ),
+)
+def test_comparison_matches_fraction_powers(num, den, n, m, other):
+    # the reference compares r^k' with r'^k in Fractions; Surd(r^m, n m) == x
+    x = Surd(Fraction(num, den), n)
+    for y in (other, Surd(x.radicand**m, n * m)):
+        r, k = (y.radicand, y.index) if isinstance(y, Surd) else (Fraction(y), 1)
+        left, right = x.radicand**k, r**n
+        want = (left > right) - (left < right)
+        got = (x < y, x <= y, x == y, x >= y, x > y)
+        assert got == (want < 0, want <= 0, want == 0, want >= 0, want > 0)
