@@ -10,9 +10,11 @@ rounds lam / d by integer division, the enumeration prunes with (d, lam) and
 visits one vector of each +-v pair, and the multiplier's bounds are checked
 by cross-multiplying integer powers.
 
-The small-residue multiplier is read off one shortest vector of an integer
-basis built from the floored bounds W_i = floor(V_i); Minkowski's theorem
-makes that vector valid whenever the bounds are (see
+Every routine works on vectors alone: LLL keeps no unimodular transform, and
+the enumeration's coefficients only set its centres. The small-residue
+multiplier is read off the last coordinate of one shortest vector of an
+integer basis built from the floored bounds W_i = floor(V_i); Minkowski's
+theorem makes it valid whenever the bounds are (see
 find_small_residue_multiplier), so there is no second search.
 """
 
@@ -117,13 +119,12 @@ def _lll_reduce(B: LatticeBasis):
     """Integral LLL with delta = 99/100 (Cohen, A Course in Computational
     Algebraic Number Theory, Alg. 2.6.7).
 
-    Returns (reduced, U, d, lam) with reduced[i] = sum_j U[i][j] * B.cols[j].
-    It starts from a copy of B's Gram-Schmidt state (d, lam) and keeps it for
-    the reduced basis, updated in place on every size reduction and swap.
+    Returns (reduced, d, lam): a basis of the same lattice and its
+    Gram-Schmidt state. It starts from a copy of B's state (d, lam) and
+    updates it in place on every size reduction and swap.
     """
     n = B.rank
     b = [list(c) for c in B.cols]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     d, lam = list(B.gso[0]), [list(r) for r in B.gso[1]]
     k = 1
     steps = 0
@@ -135,7 +136,6 @@ def _lll_reduce(B: LatticeBasis):
             if 2 * abs(lam[k][j]) > d[j + 1]:  # |mu[k][j]| > 1/2
                 m = _round_div(lam[k][j], d[j + 1])
                 b[k] = [x - m * y for x, y in zip(b[k], b[j])]
-                U[k] = [x - m * y for x, y in zip(U[k], U[j])]
                 lam[k][j] -= m * d[j + 1]
                 for i in range(j):
                     lam[k][i] -= m * lam[j][i]
@@ -145,7 +145,6 @@ def _lll_reduce(B: LatticeBasis):
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
-            U[k], U[k - 1] = U[k - 1], U[k]
             for j in range(k - 1):
                 lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
             dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
@@ -155,7 +154,7 @@ def _lll_reduce(B: LatticeBasis):
                 lam[i][k - 1] = (dk * t + lk * lam[i][k]) // d[k + 1]
             d[k] = dk
             k = max(k - 1, 1)
-    return b, U, d, lam
+    return b, d, lam
 
 
 # --- exact enumeration ------------------------------------------------------------
@@ -163,7 +162,7 @@ def _lll_reduce(B: LatticeBasis):
 
 def _enumerate_ball(cols, d, lam, linf_bound: int):
     """One vector of each +-v pair of nonzero lattice vectors with infinity
-    norm <= linf_bound, complete.
+    norm <= linf_bound, complete, as a list of tuples.
 
     Enumerates the L2 ball of radius sqrt(dim) * linf_bound with exact
     pruning, then filters by the infinity norm. The Gram-Schmidt data of cols
@@ -175,7 +174,8 @@ def _enumerate_ball(cols, d, lam, linf_bound: int):
     Only coefficient vectors whose top nonzero coefficient is positive are
     visited: while every higher coefficient is 0 the centre is 0 and a level
     takes z >= 0, since -v has the negated coefficients. partial[i] holds
-    sum_{j >= i} z_j cols[j], so a leaf vector is one add.
+    sum_{j >= i} z_j cols[j], so a leaf vector is one add. The coefficients
+    only set the centres; they are not returned.
     """
     r = len(cols)
     s = len(cols[0])
@@ -204,7 +204,7 @@ def _enumerate_ball(cols, d, lam, linf_bound: int):
             vec = [x + z * c for x, c in zip(above, col)]
             if level == 0:
                 if any(vec) and max(map(abs, vec)) <= linf_bound:
-                    out.append((tuple(vec), tuple(coeffs)))
+                    out.append(tuple(vec))
             else:
                 partial[level] = vec
                 go(level - 1, used + (z * dl + N) ** 2 * scale[level], top and z == 0)
@@ -214,44 +214,32 @@ def _enumerate_ball(cols, d, lam, linf_bound: int):
     return out
 
 
-def _canonical(vec, coeffs):
-    """Flip signs so the last nonzero coordinate is positive."""
-    for x in reversed(vec):
-        if x:
-            if x < 0:
-                return tuple(-v for v in vec), tuple(-c for c in coeffs)
-            break
-    return vec, coeffs
-
-
-def _shortest(B: LatticeBasis):
-    """(vec, coeffs): shortest_vector_enum's vector and its coefficients in
-    the input basis."""
-    if B.rank > MAX_ENUM_DIM:
-        raise SearchSpaceTooLarge(f"rank {B.rank} exceeds the enumeration cap {MAX_ENUM_DIM}")
-    reduced, U, d, lam = _lll_reduce(B)
-    bound = iroot(B.gram_det, 2 * B.rank)  # floor(vol^(1/rank))
-    bound = max(bound, 1)
-    bound = min(bound, min(max(abs(x) for x in col) for col in reduced))
-    raw = _enumerate_ball(reduced, d, lam, bound)
-    assert raw, "volume bound excluded every vector (impossible)"
-    vec, cred = min(
-        (_canonical(v, c) for v, c in raw),
-        key=lambda t: (max(map(abs, t[0])), sum(x * x for x in t[0]), tuple(-x for x in t[0])),
-    )
-    coeffs = tuple(sum(cred[i] * U[i][j] for i in range(B.rank)) for j in range(B.rank))
-    return vec, coeffs
+def _canonical(vec):
+    """The nonzero vec, negated if its last nonzero coordinate is negative."""
+    last = next(x for x in reversed(vec) if x)
+    return vec if last > 0 else tuple(-x for x in vec)
 
 
 def shortest_vector_enum(B: LatticeBasis) -> tuple:
     """A nonzero lattice vector of minimal infinity norm, found by exact
-    enumeration within the volume bound.
+    enumeration within the volume bound of the LLL-reduced basis.
 
     Ties are broken deterministically: smallest euclidean norm next, then the
     sign is fixed so the last nonzero coordinate is positive, and the
     lexicographically largest remaining vector is returned.
     """
-    return _shortest(B)[0]
+    if B.rank > MAX_ENUM_DIM:
+        raise SearchSpaceTooLarge(f"rank {B.rank} exceeds the enumeration cap {MAX_ENUM_DIM}")
+    reduced, d, lam = _lll_reduce(B)
+    bound = iroot(B.gram_det, 2 * B.rank)  # floor(vol^(1/rank))
+    bound = max(bound, 1)
+    bound = min(bound, min(max(abs(x) for x in col) for col in reduced))
+    raw = _enumerate_ball(reduced, d, lam, bound)
+    assert raw, "volume bound excluded every vector (impossible)"
+    return min(
+        map(_canonical, raw),
+        key=lambda v: (max(map(abs, v)), sum(x * x for x in v), tuple(-x for x in v)),
+    )
 
 
 # --- small-residue multipliers ------------------------------------------------------
@@ -275,24 +263,27 @@ def _floor_bound(v) -> int:
 @dataclass(frozen=True)
 class SmallResidueInstance:
     """Inputs of the small-residue multiplier problem: find v coprime to p with
-    centered_residue(b_i * v) <= V_i for every i."""
+    centered_residue(b_i * v) <= V_i for every i.
+
+    floors holds W_i = floor(V_i), computed once; residues are integers, so
+    they meet V_i exactly when they meet W_i.
+    """
 
     p: int
     b: tuple
     bounds: tuple
+    floors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "b", tuple(int(x) for x in self.b))
         object.__setattr__(self, "bounds", tuple(self.bounds))
         if len(self.b) != len(self.bounds) or not self.b:
             raise ValueError("b and bounds must be nonempty and of equal length")
+        object.__setattr__(self, "floors", tuple(map(_floor_bound, self.bounds)))
 
     @property
     def s(self) -> int:
         return len(self.b)
-
-    def floored_bounds(self) -> tuple:
-        return tuple(_floor_bound(v) for v in self.bounds)
 
     def validate(self) -> None:
         """Check 1 <= V_i < p for all i and prod V_i > p^(s-1), exactly.
@@ -322,8 +313,7 @@ class SmallResidueInstance:
     def satisfied_by(self, v: int) -> bool:
         if math.gcd(v, self.p) != 1:
             return False
-        W = self.floored_bounds()
-        return all(centered_residue(bi * v, self.p) <= wi for bi, wi in zip(self.b, W))
+        return all(centered_residue(bi * v, self.p) <= wi for bi, wi in zip(self.b, self.floors))
 
 
 def build_red_basis(inst: SmallResidueInstance) -> LatticeBasis:
@@ -341,7 +331,7 @@ def build_red_basis(inst: SmallResidueInstance) -> LatticeBasis:
     if inst.b[0] % p == 0:
         raise PreconditionViolated("b[0] must be invertible mod p; reorder the system")
     inv1 = mod_inverse(inst.b[0], p)
-    return _red_basis(p, [bi * inv1 % p for bi in inst.b], inst.floored_bounds())
+    return _red_basis(p, [bi * inv1 % p for bi in inst.b], inst.floors)
 
 
 def _red_basis(p: int, nb, W) -> LatticeBasis:
@@ -363,25 +353,29 @@ def find_small_residue_multiplier(inst: SmallResidueInstance) -> int:
 
     The system is pivoted on its first b_i prime to p and normalized there;
     v is the first coefficient c of the shortest vector of its build_red_basis
-    lattice, divided by that b_i mod p. Validation makes v valid: Minkowski's
-    theorem on the real V_i gives a valid multiplier, whose lattice vector
-    has infinity norm <= P, so the shortest vector meets every W_i too, and c
-    is nonzero mod p, since c = 0 mod p would put p P/W_i > P in some row.
-    Raises MultiplierNotFound if v still fails the check.
+    lattice, divided by that b_i mod p. c is read off the vector itself: the
+    basis's last row holds a single entry, P/W_pivot in the first column, so
+    the last coordinate of the lattice vector with first coefficient c is
+    exactly c P/W_pivot, and dividing by the positive integer P/W_pivot
+    leaves no remainder. Validation makes v valid: Minkowski's theorem on the
+    real V_i gives a valid multiplier, whose lattice vector has infinity
+    norm <= P, so the shortest vector meets every W_i too, and c is nonzero
+    mod p, since c = 0 mod p would put p P/W_i > P in some row. Raises
+    MultiplierNotFound if v still fails the check.
     """
     inst.validate()
     p = inst.p
     if inst.s > MAX_ENUM_DIM:
         raise SearchSpaceTooLarge(f"s = {inst.s} exceeds the dimension cap {MAX_ENUM_DIM}")
-    order = [i for i in range(inst.s) if inst.b[i] % p != 0]
-    if not order:
+    pivot = next((i for i in range(inst.s) if inst.b[i] % p), None)
+    if pivot is None:
         return 1
-    pivot = order[0]
     perm = [pivot] + [i for i in range(inst.s) if i != pivot]
     binv = mod_inverse(inst.b[pivot], p)
-    W = inst.floored_bounds()
+    W = inst.floors
     basis = _red_basis(p, [inst.b[i] * binv % p for i in perm], [W[i] for i in perm])
-    v = _shortest(basis)[1][0] * binv % p
+    c = shortest_vector_enum(basis)[-1] // (math.prod(W) // W[pivot])
+    v = c * binv % p
     if not inst.satisfied_by(v):
         raise MultiplierNotFound(
             f"no multiplier found for {inst!r}; this contradicts the construction"

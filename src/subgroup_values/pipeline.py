@@ -20,7 +20,6 @@ from .counting import (
     SubgroupCount,
     _eval_int_bipoly,
     congruent_pairs,
-    count_values_in_subgroup,
     subgroup_of_order,
 )
 from .errors import (
@@ -258,9 +257,8 @@ def trace_proof(psi: RationalFunc, p: int, H: int, T: int, exceptional=None) -> 
     G = subgroup_of_order(p, T)
     if exceptional is None:
         exceptional = {int(w.lam) for w in exceptional_lambdas(psi, p).exceptional}
-    values = [psi.eval_raw(x) for x in range(1, H + 1)]
-    counted = count_values_in_subgroup(psi, Interval(0, H), G)
-    return _trace(psi, G, exp, levels, set(exceptional), values, counted)
+    values = list(map(psi.eval_raw, range(1, H + 1)))
+    return _trace(psi, G, exp, levels, set(exceptional), values, _count_values(values, G))
 
 
 def _count_values(values: list, G: Subgroup) -> SubgroupCount:
@@ -317,8 +315,7 @@ def _trace(psi: RationalFunc, G: Subgroup, exp: ExponentSet, levels: LevelSelect
     """trace_proof past its checks: ψ lives over F_p, is nonconstant and no
     perfect power, exp is its exponent set, 2 <= H < p, s is within the cap,
     levels = select_test_levels(p, H, exp), values holds ψ's raw values on
-    1..H (None at a pole) and counted is count_values_in_subgroup of ψ on
-    1..H."""
+    1..H (None at a pole) and counted is _count_values(values, G)."""
     p, T, H = G.p, G.order, levels.H
     count, witnesses = counted
     lambda_count = len(exceptional)
@@ -413,7 +410,8 @@ def _evaluate_group(p: int, psi_text: str, cells: list) -> list:
     """Rows for all cells sharing (p, ψ); the λ scan and the exponent set are
     computed once, the levels once per H, and ψ once per point of each
     shift's window: a cell's count and its trace read the values of ψ on
-    u+1..u+H, which are those of ψ(x + u) on 1..H."""
+    u+1..u+H, which are those of ψ(x + u) on 1..H. ψ(x + u) itself is built
+    once per shift u, when the first cell at u reaches the trace."""
     rows = []
     try:
         psi = parse_rational_expr(psi_text, p)
@@ -445,13 +443,13 @@ def _evaluate_group(p: int, psi_text: str, cells: list) -> list:
     exp = None
     levels: dict = {}  # H -> its LevelSelection, or the WindowEmpty it raised
     values: dict = {}  # u -> ψ's raw values on u+1, u+2, ..., as far as read
+    shifted = {0: psi}  # u -> ψ(x + u), for the shifts traced so far
     for c in cells:
         H, T, u = c["H"], c["T"], c.get("u", 0)
         N = bound = ratio = None
         status = STATUS_OK
         error = ""
         try:
-            psi_cell = psi.shift(u) if u else psi
             if exp is None:
                 # ψ(x + u) has ψ's degrees; a degenerate ψ raises on every cell
                 exp = exponent_set(psi.d, psi.e)
@@ -480,7 +478,9 @@ def _evaluate_group(p: int, psi_text: str, cells: list) -> list:
                         levels[H] = ex
                 if isinstance(levels[H], WindowEmpty):
                     raise levels[H]
-                _trace(psi_cell, G, exp, levels[H], lam_set, window, counted)
+                if u not in shifted:
+                    shifted[u] = psi.shift(u)
+                _trace(shifted[u], G, exp, levels[H], lam_set, window, counted)
         except WindowEmpty as ex:
             status = STATUS_WINDOW_EMPTY
             error = str(ex)

@@ -211,11 +211,32 @@ def _fraction_gso(rows):
     return mu, Bv
 
 
+def _coefficients(cols, vecs):
+    """U with vecs[i] = sum_j U[i][j] * cols[j], by a Fraction Gauss-Jordan
+    solve; cols is a square invertible basis."""
+    n = len(cols)
+    # row t of the system: sum_j U[i][j] cols[j][t] = vecs[i][t], for every i
+    m = [[Fraction(c[t]) for c in cols] + [Fraction(v[t]) for v in vecs] for t in range(n)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if m[i][k])
+        m[k], m[piv] = m[piv], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(n):
+            f = m[i][k]
+            if i != k and f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return [[m[j][n + i] for j in range(n)] for i in range(len(vecs))]
+
+
 def test_lll_reproduces_pinned_outputs_and_invariants():
     lattices = _pinned_lattices()
     outputs = []
     for cols in lattices:
-        red, U, d, lam = _lll_reduce(LatticeBasis(cols))
+        red, d, lam = _lll_reduce(LatticeBasis(cols))
+        # the unimodular transform, rebuilt exactly from the two bases
+        U = _coefficients(cols, red)
+        assert all(x.denominator == 1 for row in U for x in row)
+        U = [[int(x) for x in row] for row in U]
         n = len(cols)
         outputs.append((red, U))
         for i in range(n):
@@ -520,36 +541,40 @@ def _full_ball(cols, d, lam, linf_bound):
 
 
 def _reduced_and_bound(B):
-    """_lll_reduce(B) and the infinity-norm bound _shortest enumerates to."""
-    reduced, U, d, lam = _lll_reduce(B)
+    """_lll_reduce(B) and the infinity-norm bound shortest_vector_enum
+    enumerates to."""
+    reduced, d, lam = _lll_reduce(B)
     bound = max(iroot(B.gram_det, 2 * B.rank), 1)
     bound = min(bound, min(max(abs(x) for x in col) for col in reduced))
-    return reduced, U, d, lam, bound
+    return reduced, d, lam, bound
 
 
 def _shortest_by_full_ball(B):
-    reduced, U, d, lam, bound = _reduced_and_bound(B)
-    vec, cred = min(
-        (lattices._canonical(v, c) for v, c in _full_ball(reduced, d, lam, bound)),
-        key=lambda t: (max(map(abs, t[0])), sum(x * x for x in t[0]), tuple(-x for x in t[0])),
+    reduced, d, lam, bound = _reduced_and_bound(B)
+    return min(
+        (lattices._canonical(v) for v, _ in _full_ball(reduced, d, lam, bound)),
+        key=lambda v: (max(map(abs, v)), sum(x * x for x in v), tuple(-x for x in v)),
     )
-    return vec, tuple(sum(cred[i] * U[i][j] for i in range(B.rank)) for j in range(B.rank))
 
 
 def _check_half_ball(B):
-    """_shortest equals the full-ball reference, and _enumerate_ball returns
-    exactly one vector of each +-v pair of the full ball."""
-    assert lattices._shortest(B) == _shortest_by_full_ball(B)
-    reduced, _, d, lam, bound = _reduced_and_bound(B)
+    """shortest_vector_enum equals the full-ball reference, and
+    _enumerate_ball returns exactly one vector of each +-v pair of the full
+    ball; returns its (vector, coefficients) pairs, the coefficients in the
+    reduced basis, looked up in the full ball."""
+    assert shortest_vector_enum(B) == _shortest_by_full_ball(B)
+    reduced, d, lam, bound = _reduced_and_bound(B)
     half = lattices._enumerate_ball(reduced, d, lam, bound)
-    vecs = {v for v, _ in half}
+    full = _full_ball(reduced, d, lam, bound)
+    coeffs = dict(full)
+    assert len(coeffs) == len(full)
+    vecs = set(half)
     assert len(vecs) == len(half)
     assert not any(tuple(-x for x in v) in vecs for v in vecs)
-    neg = {(tuple(-x for x in v), tuple(-z for z in c)) for v, c in half}
-    assert set(half) | neg == set(_full_ball(reduced, d, lam, bound))
-    for _, c in half:
-        assert next(z for z in reversed(c) if z) > 0
-    return half
+    assert vecs | {tuple(-x for x in v) for v in vecs} == set(coeffs)
+    for v in half:
+        assert next(z for z in reversed(coeffs[v]) if z) > 0
+    return [(v, coeffs[v]) for v in half]
 
 
 @settings(max_examples=200, deadline=None)
@@ -565,17 +590,70 @@ def test_half_ball_matches_the_full_ball_on_random_bases(data, r, m):
     _check_half_ball(B)
 
 
-def test_half_ball_matches_the_full_ball_on_multiplier_bases():
-    # 120 bases as the multiplier builds them: s = 2..6 over small, mid and
-    # wide primes, 8 per (tier, s)
+def _multiplier_instances():
+    """120 instances with b[0] = 1, as the multiplier sees them: s = 2..6
+    over small, mid and wide primes, 8 per (tier, s)."""
     rng = random.Random(20261019)
     for lo, hi in ((11, 2000), (2001, 200000), (2**20, 2**32 - 1)):
         for s in range(2, 7):
             for _ in range(8):
-                _check_half_ball(build_red_basis(_pin_instance(rng, lo, hi, s)))
+                yield _pin_instance(rng, lo, hi, s)
+
+
+def test_half_ball_matches_the_full_ball_on_multiplier_bases():
+    for inst in _multiplier_instances():
+        _check_half_ball(build_red_basis(inst))
     # the worked example, whose ball holds a vector with a zero top coefficient
     half = _check_half_ball(build_red_basis(SmallResidueInstance(11, (1, 5), (3, 4))))
     assert any(c[-1] == 0 for _, c in half)
+
+
+def test_multiplier_reads_its_coefficient_off_the_last_coordinate():
+    # the last row of the basis holds only P/W_1, in the first column, so the
+    # last coordinate of a lattice vector is c P/W_1 for its first
+    # coefficient c; with b[0] = 1 the multiplier is c mod p
+    count = 0
+    for inst in _multiplier_instances():
+        B = build_red_basis(inst)
+        vec = shortest_vector_enum(B)
+        (coeffs,) = _coefficients(B.cols, [vec])
+        c = coeffs[0]
+        assert c.denominator == 1
+        W = inst.floors
+        assert vec[-1] == c * math.prod(W) // W[0]
+        assert find_small_residue_multiplier(inst) == c % inst.p
+        count += 1
+    assert count == 120
+
+
+def test_instance_floors_each_bound_once(monkeypatch):
+    calls = []
+    floor_bound = lattices._floor_bound
+
+    def counting(v):
+        calls.append(v)
+        return floor_bound(v)
+
+    monkeypatch.setattr(lattices, "_floor_bound", counting)
+    for V in ((5000, 5000, 5000, 8001),
+              (Fraction(10001, 2), Surd(5000**2, 2), 5000, Surd(8001**3, 3))):
+        calls.clear()
+        inst = SmallResidueInstance(100003, (1, 31415, 92653, 58979), V)
+        assert inst.floors == (5000, 5000, 5000, 8001)
+        v = find_small_residue_multiplier(inst)
+        build_red_basis(inst)
+        assert inst.satisfied_by(v)
+        assert calls == list(V)
+
+
+def test_build_red_basis_refuses_a_first_residue_divisible_by_p():
+    # each instance is valid, so the refusal is the pivot's, not validation's
+    for b, V in (((0, 5), (4, 4)), ((11, 5), (Fraction(9, 2), 3)), ((22, 1, 3), (6, 6, Surd(17, 2)))):
+        inst = SmallResidueInstance(11, b, V)
+        inst.validate()
+        with pytest.raises(PreconditionViolated) as err:
+            build_red_basis(inst)
+        assert str(err.value) == "b[0] must be invertible mod p; reorder the system"
 
 
 def test_lll_rounding_is_round_half_even():

@@ -393,6 +393,28 @@ def test_sweep_finds_each_primitive_root_once(monkeypatch):
     assert {p - 1: calls[p - 1] for p in primes} == {p - 1: 1 for p in primes}
 
 
+def test_trace_proof_reads_psi_once_for_its_values_and_count(monkeypatch):
+    # ψ's values on [1, H] feed both the count and the λ choice;
+    # congruent_pairs reads them again as the independent cross-check
+    reads = Counter()
+    eval_raw = RationalFunc.eval_raw
+
+    def counting_eval_raw(psi, x):
+        reads[sys._getframe(1).f_code.co_name] += 1
+        return eval_raw(psi, x)
+
+    monkeypatch.setattr(RationalFunc, "eval_raw", counting_eval_raw)
+    # a plain case, a zero of ψ at x = 3 and a pole at x = 2
+    for text, p, H, T in (("x^2+x", 31, 3, 5), ("x^2-3*x", 101, 5, 20), ("1/(x^2-4)", 61, 5, 12)):
+        psi = parse_rational_expr(text, p)
+        exceptional = {int(w.lam) for w in exceptional_lambdas(psi, p).exceptional}
+        reads.clear()
+        tr = trace_proof(psi, p, H, T, exceptional=exceptional)
+        assert dict(reads) == {"trace_proof": H, "congruent_pairs": H}
+        G = subgroup_of_order(p, T)
+        assert (tr.count, tr.witnesses) == count_values_in_subgroup(psi, Interval(0, H), G)
+
+
 def test_trace_proof_never_walks_a_large_subgroup(monkeypatch):
     p, H = 101, 3
     psi = parse_rational_expr("x^2+x", p)
@@ -472,11 +494,23 @@ def test_sweep_reads_each_window_once_and_matches_counting_each_cell(monkeypatch
         reads[sys._getframe(1).f_code.co_name] += 1
         return eval_raw(psi, x)
 
-    monkeypatch.setattr(pipeline, "count_values_in_subgroup", recount)
+    shifts = Counter()
+    shift = RationalFunc.shift
+
+    def counting_shift(psi, a):
+        shifts[(psi.ctx.p, psi.num.degree, psi.den.degree, a)] += 1
+        return shift(psi, a)
+
+    monkeypatch.setattr(counting, "count_values_in_subgroup", recount)
     monkeypatch.setattr(RationalFunc, "eval_raw", counting_eval_raw)
     assert run_sweep(standard_sweep_cells()) == want["standard"]
+    monkeypatch.setattr(RationalFunc, "shift", counting_shift)
     rows = run_sweep(shifted)
     assert rows == want["shifted"]
+    # ψ(x + u) is built once per (p, ψ, u) with a traced cell, and only then;
+    # every trace of this grid completes, so the traced cells are the ok rows
+    traced = {(r.p, r.d, r.e, r.u) for r in rows if r.u and r.status == STATUS_OK}
+    assert traced and shifts == Counter(traced)
     # each sweep reads ψ once per point of each (p, ψ, u) window, which runs
     # over u+1..u+H for the largest H
     points = 0
@@ -488,6 +522,7 @@ def test_sweep_reads_each_window_once_and_matches_counting_each_cell(monkeypatch
                 windows[key] = max(windows[key], c["H"])
         points += sum(windows.values())
     assert reads["_evaluate_group"] == points
+    assert reads["count_values_in_subgroup"] == 0
     by_u = Counter((r.u == 2, r.status) for r in rows if r.u != r.p - r.H)
     assert by_u[(True, STATUS_OK)] and by_u[(False, STATUS_OK)]
     refused = [r for r in rows if r.u == r.p - r.H]
