@@ -378,6 +378,14 @@ def _pad(ctx, lst, prec):
 
 
 def _series_mul(ctx, a, b, prec):
+    if ctx.t == 1:
+        out = [0] * prec
+        for i, x in enumerate(a[:prec]):
+            if x:
+                for j, y in enumerate(b[: prec - i], i):
+                    out[j] += x * y
+        p = ctx.p
+        return [c % p for c in out]
     z = ctx.zero_raw
     out = [z] * prec
     for i, x in enumerate(a):
@@ -408,6 +416,17 @@ def _series_inv(ctx, f, prec):
 
 def _spoly_mul(ctx, A, B, prec):
     """Product of polynomials in Y whose coefficients are X-series mod X^prec."""
+    if ctx.t == 1:
+        out = [[0] * prec for _ in range(len(A) + len(B) - 1)]
+        for i, sa in enumerate(A):
+            for j, sb in enumerate(B):
+                row = out[i + j]
+                for k, x in enumerate(sa[:prec]):
+                    if x:
+                        for l, y in enumerate(sb[: prec - k], k):
+                            row[l] += x * y
+        p = ctx.p
+        return [[c % p for c in row] for row in out]
     z = ctx.zero_raw
     out = [[z] * prec for _ in range(len(A) + len(B) - 1)]
     for i, sa in enumerate(A):

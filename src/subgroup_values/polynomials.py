@@ -16,11 +16,17 @@ from .errors import (
     CtxMismatch,
     PoleAt,
     ZeroDenominator,
+    ZeroInverse,
     ZeroPolynomial,
 )
 from .fields import NEG_INF, FieldCtx, FieldElem
 
 # --- raw-list univariate helpers ----------------------------------------------
+#
+# Over F_p (ctx.t == 1) a raw is a plain int, so the inner-loop kernels
+# _umul, _udivmod and _ueval branch once on ctx.t at the top and run plain
+# int arithmetic mod p, returning lists equal element for element to the
+# generic loop's, with its exceptions; the generic loop serves F_{p^t}, t > 1.
 
 
 def _ustrip(ctx, f):
@@ -64,6 +70,14 @@ def _uscale(ctx, a, c):
 def _umul(ctx, a, b):
     if not a or not b:
         return []
+    if ctx.t == 1:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        p = ctx.p
+        return _ustrip(ctx, [c % p for c in out])
     z = ctx.zero_raw
     out = [z] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -78,6 +92,22 @@ def _udivmod(ctx, a, b):
         raise ZeroPolynomial("division by the zero polynomial")
     rem = list(a)
     db = len(b) - 1
+    if ctx.t == 1:
+        p = ctx.p
+        if not b[-1]:
+            raise ZeroInverse("0 has no inverse")
+        inv = pow(b[-1], -1, p)
+        q = [0] * max(len(rem) - db, 0)
+        while rem and len(rem) - 1 >= db:
+            c = rem.pop() * inv % p
+            shift = len(rem) - db
+            q[shift] = c
+            if c:
+                for i in range(db):
+                    rem[shift + i] = (rem[shift + i] - c * b[i]) % p
+            while rem and not rem[-1]:
+                rem.pop()
+        return q, rem
     inv = ctx.one_raw if b[-1] == ctx.one_raw else ctx.rinv(b[-1])
     z = ctx.zero_raw
     q = [z] * max(len(rem) - db, 0)
@@ -127,6 +157,12 @@ def _uextgcd(ctx, a, b):
 
 
 def _ueval(ctx, f, x):
+    if ctx.t == 1:
+        p = ctx.p
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * x + c) % p
+        return acc
     acc = ctx.zero_raw
     for c in reversed(f):
         acc = ctx.radd(ctx.rmul(acc, x), c)

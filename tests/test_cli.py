@@ -189,6 +189,12 @@ def test_cli_domain_error_messages_reach_stderr():
     assert "perfect power" in r.stderr
 
 
+def test_cli_lambda_scan_refuses_a_field_above_the_cap():
+    r = run_cli("lambda-scan", "--psi", "x^2+x", "-p", "1048583")
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "error: q = p^1 = 1048583 exceeds the scan cap 2^20\n"
+
+
 def test_cli_trace_matches_library(tmp_path):
     r = run_cli("trace", "--psi", "x^2+x", "-p", "31", "--H", "3", "-T", "5",
                 "--format", "json")

@@ -10,6 +10,7 @@ from subgroup_values.errors import (
     DegreeOutOfRange,
     DegreeTooSmall,
     PerfectPowerInput,
+    SearchSpaceTooLarge,
     ZeroDenominator,
     ZeroLambda,
 )
@@ -430,6 +431,20 @@ def test_scan_at_a_large_prime_returns_quickly(budget):
         for expr, want in (("(x^2+1)/(x^2+3)", [1]), ("x^3+x", [1, p - 1])):
             report = exceptional_lambdas(parse_rational_expr(expr, p), p)
             assert sorted(int(w.lam) for w in report.exceptional) == want, expr
+
+
+@pytest.mark.parametrize("expr, p, max_ext, q", [
+    ("x^2+x", 1048583, 1, 1048583),  # the first prime above 2^20
+    ("x^3+x", 4294967291, 1, 4294967291),
+    ("x^2+x", 1031, 2, 1031**2),  # F_{p^2} crosses the cap where F_p does not
+])
+def test_scan_refuses_a_field_above_the_cap_at_once(budget, expr, p, max_ext, q):
+    # The refusal comes before any list of q entries is built; just below
+    # the cap, x^2+x at p = 1000003 scans for seconds in over 200 MB.
+    with budget(1.0):
+        with pytest.raises(SearchSpaceTooLarge) as err:
+            exceptional_lambdas(parse_rational_expr(expr, p), p, max_ext=max_ext)
+    assert str(err.value) == f"q = p^{max_ext} = {q} exceeds the scan cap 2^20"
 
 
 def test_quadratic_polynomial_scan_matches_conic_classifier():

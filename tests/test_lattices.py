@@ -508,6 +508,15 @@ def test_multiplier_refusals_keep_their_order_and_message(b, V, message):
     assert str(err.value) == message
 
 
+def test_multiplier_refuses_a_valid_instance_beyond_the_dimension_cap():
+    # 10^7 > 11^6, so the instance passes validation and reaches the cap
+    inst = SmallResidueInstance(11, (1,) * 7, (10,) * 7)
+    inst.validate()
+    with pytest.raises(SearchSpaceTooLarge) as err:
+        find_small_residue_multiplier(inst)
+    assert str(err.value) == "s = 7 exceeds the dimension cap 6"
+
+
 # --- integer arithmetic against the Fraction and full-ball references --------------
 
 
