@@ -408,10 +408,11 @@ def standard_sweep_cells() -> tuple:
 
 def _evaluate_group(p: int, psi_text: str, cells: list) -> list:
     """Rows for all cells sharing (p, ψ); the λ scan and the exponent set are
-    computed once, the levels once per H, and ψ once per point of each
-    shift's window: a cell's count and its trace read the values of ψ on
-    u+1..u+H, which are those of ψ(x + u) on 1..H. ψ(x + u) itself is built
-    once per shift u, when the first cell at u reaches the trace."""
+    computed once, the subgroup once per T, the levels once per H, and ψ once
+    per point of each shift's window: a cell's count and its trace read the
+    values of ψ on u+1..u+H, which are those of ψ(x + u) on 1..H. ψ(x + u)
+    itself is built once per shift u, when the first cell at u reaches the
+    trace."""
     rows = []
     try:
         psi = parse_rational_expr(psi_text, p)
@@ -441,6 +442,7 @@ def _evaluate_group(p: int, psi_text: str, cells: list) -> list:
         lam_error = str(ex)
 
     exp = None
+    groups: dict = {}  # T -> its Subgroup, or the SubgroupValuesError it raised
     levels: dict = {}  # H -> its LevelSelection, or the WindowEmpty it raised
     values: dict = {}  # u -> ψ's raw values on u+1, u+2, ..., as far as read
     shifted = {0: psi}  # u -> ψ(x + u), for the shifts traced so far
@@ -453,7 +455,14 @@ def _evaluate_group(p: int, psi_text: str, cells: list) -> list:
             if exp is None:
                 # ψ(x + u) has ψ's degrees; a degenerate ψ raises on every cell
                 exp = exponent_set(psi.d, psi.e)
-            G = subgroup_of_order(p, T)
+            if T not in groups:
+                try:
+                    groups[T] = subgroup_of_order(p, T)
+                except SubgroupValuesError as ex:
+                    groups[T] = ex
+            G = groups[T]
+            if isinstance(G, SubgroupValuesError):
+                raise G
             xs = Interval(u, H).xs(p)
             vals = values.setdefault(u, [])
             vals += map(psi.eval_raw, xs[len(vals):])

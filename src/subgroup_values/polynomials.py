@@ -24,8 +24,9 @@ from .fields import NEG_INF, FieldCtx, FieldElem
 # --- raw-list univariate helpers ----------------------------------------------
 #
 # Over F_p (ctx.t == 1) a raw is a plain int, so the inner-loop kernels
-# _umul, _udivmod and _ueval branch once on ctx.t at the top and run plain
-# int arithmetic mod p, returning lists equal element for element to the
+# _umul, _udivmod, _ueval and _upowmod branch once on ctx.t at the top and
+# run plain int arithmetic mod p (_upowmod multiplies and reduces each
+# product in one pass), returning lists equal element for element to the
 # generic loop's, with its exceptions; the generic loop serves F_{p^t}, t > 1.
 
 
@@ -177,6 +178,40 @@ def _uderiv(ctx, f):
 
 
 def _upowmod(ctx, base, e, m):
+    if ctx.t == 1:
+        b = _urem(ctx, base, m)
+        # Each product is multiplied and reduced in one pass over unreduced
+        # int sums: with d = deg m, X^d = tail mod m, so each coefficient of
+        # X^d and above folds back onto the d below it, from the top down.
+        p = ctx.p
+        d = len(m) - 1
+        c = pow(m[-1], -1, p)
+        tail = [-x * c % p for x in m[:-1]]
+
+        def mulmod(u, v):
+            out = [0] * (len(u) + len(v) - 1)
+            for i, x in enumerate(u):
+                if x:
+                    for j, y in enumerate(v, i):
+                        out[j] += x * y
+            for i in range(len(out) - 1 - d, -1, -1):
+                x = out.pop() % p
+                if x:
+                    for j, y in enumerate(tail, i):
+                        out[j] += x * y
+            out = [x % p for x in out]
+            while out and not out[-1]:
+                out.pop()
+            return out
+
+        result = [1]
+        while True:
+            if e & 1:
+                result = mulmod(result, b)
+            e >>= 1
+            if not e:
+                return result
+            b = mulmod(b, b)
     result = [ctx.one_raw]
     b = _urem(ctx, base, m)
     while e:

@@ -323,6 +323,32 @@ def test_fiber_table_matches_reference_on_random_maps(p, num, den):
     _assert_table_matches_reference(psi, 1)
 
 
+@pytest.mark.parametrize("p", (1009, 4409))
+def test_ratio_table_at_workload_sizes(p):
+    # the scan benchmark's maps, against g(x)/f(x) from powers and Fermat inverses
+    for expr in ("x^2+x", "x^3+x", "x^4+x", "(x^2+1)/(x+2)"):
+        psi = parse_rational_expr(expr, p)
+        f, g = list(psi.num.coeffs), list(psi.den.coeffs)
+        want = []
+        for x in range(p):
+            fx = sum(c * pow(x, i, p) for i, c in enumerate(f)) % p
+            gx = sum(c * pow(x, i, p) for i, c in enumerate(g)) % p
+            want.append(gx * pow(fx, p - 2, p) % p if fx else None)
+        assert lambda_scan._ratio_table(FieldCtx(p), f, g) == want, expr
+
+
+def test_ratio_table_of_the_zero_polynomial():
+    # not a scan input, but the F_p table still matches the generic loop
+    ctx = FieldCtx(7)
+    assert lambda_scan._ratio_table(ctx, [], [3, 1]) == [None] * 7
+    assert lambda_scan._ratio_table(ctx, [1, 1], []) == [0] * 6 + [None]
+
+
+@pytest.mark.parametrize("expr, p", [("(x^2+1)/(x+2)", 1009), ("x^4+x", 211)])
+def test_fiber_table_matches_reference_at_workload_sizes(expr, p):
+    _assert_table_matches_reference(parse_rational_expr(expr, p), 1)
+
+
 def test_fiber_table_factors_only_fibers_with_a_large_rootless_part(monkeypatch):
     calls = []
 

@@ -19,6 +19,7 @@ from subgroup_values.errors import (
     BadRange,
     DegenerateDegrees,
     LambdaSetExhausted,
+    OrderDoesNotDivide,
     ParseError,
     PerfectPowerInput,
     PreconditionViolated,
@@ -391,6 +392,28 @@ def test_sweep_finds_each_primitive_root_once(monkeypatch):
     run_sweep(standard_sweep_cells())
     primes = {c["p"] for c in standard_sweep_cells()}
     assert {p - 1: calls[p - 1] for p in primes} == {p - 1: 1 for p in primes}
+
+
+def test_sweep_builds_each_subgroup_once_per_group(monkeypatch):
+    calls = Counter()
+
+    def subgroup(p, T):
+        calls[(p, T)] += 1
+        return subgroup_of_order(p, T)
+
+    # T = 7 does not divide 30: both of its cells get the same error row
+    cells = [c for c in standard_sweep_cells() if c["p"] == 31]
+    cells += [{"p": 31, "psi": "x^2+x", "H": H, "T": 7} for H in (3, 4)]
+    alone = sorted((row for c in cells for row in run_sweep([c])), key=ReportRow.sort_key)
+    monkeypatch.setattr(pipeline, "subgroup_of_order", subgroup)
+    assert run_sweep(cells) == alone
+    # one call per T ∈ {2, 3, 5, 6, 10, 15} in each of the three ψ groups, and one for T = 7
+    assert sum(calls.values()) == 19
+    assert calls[(31, 7)] == 1 and set(calls.values()) == {1, 3}
+    with pytest.raises(OrderDoesNotDivide) as refusal:
+        subgroup_of_order(31, 7)
+    refused = [r for r in alone if r.T == 7]
+    assert [(r.status, r.error, r.N) for r in refused] == [("error", str(refusal.value), None)] * 2
 
 
 def test_trace_proof_reads_psi_once_for_its_values_and_count(monkeypatch):
