@@ -528,9 +528,18 @@ def _fibers(F: BiPoly):
 
 def _good_point(F: BiPoly):
     """First x0 with nonvanishing Y-leading coefficient and squarefree
-    specialization, or None."""
+    specialization among the first 2·deg_x·deg_y + 1 elements, or None.
+
+    When gcd(F, F_Y) has Y-degree 0, Res_Y(F, F_Y) is a nonzero polynomial
+    of X-degree at most (2 deg_y - 1) deg_x, and an x0 where neither it nor
+    the Y-leading coefficient vanishes is a good point; so at most
+    2·deg_x·deg_y elements are bad, and the walk stops there.
+    """
     ctx = F.ctx
+    last = 2 * F.deg_x * F.deg_y
     for x0, fiber in _fibers(F):
+        if ctx.raw_key(x0) > last:
+            break
         d = _uderiv(ctx, fiber)
         if d and len(_ugcd(ctx, fiber, d)) == 1:
             return x0
@@ -606,6 +615,13 @@ def find_proper_factor(F: BiPoly):
     it F_Y = 0 cannot happen once deg_y >= 1: F_Y = 0 puts every Y-exponent
     in pZ, so deg_y >= p. A direct caller that breaks the precondition that
     way gets CharTooSmall.
+
+    After the contents, the good point is sought first: a squarefree fiber
+    of full degree shows that gcd(F, F_Y) has Y-degree 0, since a common
+    factor would divide the fiber and its derivative. `_gcd_y` runs only when
+    no good point is found; if it then finds Y-degree 0, the field has fewer
+    than 2·deg_x·deg_y + 1 elements (see `_good_point`) and the search moves
+    to an extension.
     """
     ctx = F.ctx
     if F.is_zero():
@@ -634,13 +650,12 @@ def find_proper_factor(F: BiPoly):
         raise CharTooSmall(
             f"need p > total degree, got p = {ctx.p}, degree {F.total_degree} (F_Y = 0)"
         )
-    g = _gcd_y(F, FY)
-    if g.deg_y >= 1:
-        return g
-
     x0 = _good_point(F)
     if x0 is not None:
         return _hensel_find_factor(F, x0)
+    g = _gcd_y(F, FY)
+    if g.deg_y >= 1:
+        return g
     return _factor_via_extension(F)
 
 

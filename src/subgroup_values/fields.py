@@ -8,6 +8,7 @@ inverts with the polynomials._u* helpers over F_p, the one polynomial layer.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -241,18 +242,12 @@ class FieldCtx:
         return n
 
     def elements(self):
-        """All field elements in ascending raw_key order."""
+        """All field elements in ascending raw_key order: range(p) over F_p,
+        so a whole-field walk there pays no generator step per element."""
         if self.t == 1:
-            yield from range(self.p)
-            return
-        p, t = self.p, self.t
-        for n in range(self.q):
-            digs = []
-            rem = n
-            for _ in range(t):
-                digs.append(rem % p)
-                rem //= p
-            yield tuple(digs)
+            return range(self.p)
+        # product varies its last place fastest, raw_key its first
+        return (digs[::-1] for digs in itertools.product(range(self.p), repeat=self.t))
 
     def el(self, x) -> "FieldElem":
         """The element named by an int, reduced mod p, or, when t > 1, by a

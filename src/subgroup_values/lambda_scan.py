@@ -15,16 +15,20 @@ f g' - f' g, read off one factorization of it. f and g are coprime, so
 y ∈ F_q is a root of P_μ exactly when f(y) ≠ 0 and g(y)/f(y) = μ (of P_∞
 when f(y) = 0): the number k of linear factors of P_μ is a count of the
 ratios g(x0)/f(x0) the sieve walks anyway, and the rootless rest, of degree
-m = n - k, is empty or irreducible when m ≤ 3. Only the entries with m ≥ 4
-build P_μ and run a distinct-degree factorization. A λ is settled without a
+m = n - k, is empty or irreducible when m ≤ 3. When m is 4 or 5 it is
+irreducible or splits as {2, m - 2}, and the quadratic character of
+disc(P_μ) tells which (Stickelberger's theorem); only the entries with
+m ≥ 6 run a distinct-degree factorization. A λ is settled without a
 bivariate search when no Y-degree in 1..n-1 is a sum of factor degrees on
 every one of its fibers, and, if gcd(deg_x, deg_y, total degree) > 1, some
 fiber has a simple rational root. The first makes F_λ irreducible over the
 field: a factor of Y-degree a restricts to factors of total degree a on each
 such fiber, and a factor c(X) of Y-degree 0 would make the fiber at a root
-of c vanish, which coprime f, g rule out. The second is a smooth rational point, which certifies absolute
-irreducibility. Every other λ, every exceptional one among them, goes to
-`is_absolutely_irreducible`, whose verdict and witness are the reported ones.
+of c vanish, which coprime f, g rule out. The second is a smooth rational
+point, which certifies absolute irreducibility. Every other λ, every
+exceptional one among them, goes to `is_absolutely_irreducible`, whose
+verdict and witness are the reported ones; λ = 1 goes there without the
+sieve, as X - Y divides F_1 and leaves a root on every fiber.
 F_λ itself is built only for those λ and for the degree checks: its degrees
 are deg_x = deg_y = n and total degree deg f + deg g for every λ except
 λ = 1 when deg f = deg g.
@@ -33,7 +37,7 @@ In every field the fiber table shares one (mask, linear) entry per root
 count among the fibers whose rootless part has degree ≤ 3. Over F_p the
 O(p) passes work on the whole field at once: the ratio table evaluates f
 and g on every point with one list per Horner step and inverts through a
-table of all inverses, and the fiber table and the λ loop walk the field as
+table of all inverses, and the fiber table and the sieve walk the field as
 plain ints. The sieve's products λ·r, and the polynomial, modular-power and
 series kernels that the factorizations and Hensel lifting call, branch once
 on ctx.t and run plain int arithmetic mod p; scans over F_{p^t}, t > 1,
@@ -138,9 +142,37 @@ def _in_proper_subfield(ctx: FieldCtx, raw, t: int) -> bool:
     return False
 
 
+def _disc_is_square(ctx: FieldCtx, P) -> bool:
+    """Whether disc(P) is a square in F_q, q odd, for a squarefree P of
+    degree n ≥ 2.
+
+    disc(P) = (-1)^(n(n-1)/2) Res(P, P')/lc(P), with P' taken at degree
+    n - 1; a P' of lower degree d (p | n) scales Res by lc(P)^(n-1-d).
+    Res(A, B) = (-1)^(ab) lc(B)^(a-r) Res(B, A mod B) for degrees a, b, r,
+    down to Res(A, c) = c^a for a constant c. Only the quadratic character
+    is wanted, so each factor enters once when its exponent is odd.
+    """
+    A, B = P, _uderiv(ctx, P)
+    n = len(A) - 1
+    sign = n * (n - 1) // 2
+    acc = A[-1] if (n - len(B)) % 2 == 0 else ctx.one_raw
+    while len(B) > 1:
+        R = _urem(ctx, A, B)
+        sign += (len(A) - 1) * (len(B) - 1)
+        if (len(A) - len(R)) % 2:
+            acc = ctx.rmul(acc, B[-1])
+        A, B = B, R
+    if (len(A) - 1) % 2:
+        acc = ctx.rmul(acc, B[0])
+    if sign % 2:
+        acc = ctx.rneg(acc)
+    half = (ctx.q - 1) // 2
+    return (pow(acc, half, ctx.p) if ctx.t == 1 else ctx.rpow(acc, half)) == ctx.one_raw
+
+
 def _fiber_table(ctx: FieldCtx, f, g, n: int, ratios) -> dict:
     """{μ: (mask, linear)} over μ in F_q and None for ∞, keeping each P_μ
-    (g - μ f, and f for ∞) of degree n that is squarefree.
+    (g - μ f, and f for ∞) of degree n that is squarefree; q is odd.
 
     No P_μ is built to find the μ left out. The degree drops at ∞ when
     deg f < n, at μ = 0 when deg g < n and at μ = lc g / lc f when
@@ -159,10 +191,13 @@ def _fiber_table(ctx: FieldCtx, f, g, n: int, ratios) -> dict:
     F_q-factor degrees; linear says P_μ has a root in F_q. ratios[x0] is
     g(x0)/f(x0), or None where f(x0) = 0, so P_μ has as many roots k as μ has
     occurrences in ratios. The degrees are k ones and those of a rootless part
-    of degree m = n - k, which is empty or irreducible when m ≤ 3; only m ≥ 4
-    builds P_μ for `_u_ddf`. The table is empty when some a is such a sum on
-    every entry, as for maps whose fibers always split: then no λ's fibers
-    can rule a out.
+    of degree m = n - k, which is empty or irreducible when m ≤ 3. When m is
+    4 or 5 the rootless part is irreducible or splits as {2, m - 2}, and
+    Stickelberger's theorem tells which: a squarefree P of degree n with r
+    irreducible factors has disc(P) a square exactly when n - r is even.
+    Only m ≥ 6 runs `_u_ddf` on P_μ. The table is empty when some a is such
+    a sum on every entry, as for maps whose fibers always split: then no
+    λ's fibers can rule a out.
     """
     W = _usub(ctx, _umul(ctx, f, _uderiv(ctx, g)), _umul(ctx, _uderiv(ctx, f), g))
     skip = set()
@@ -180,29 +215,37 @@ def _fiber_table(ctx: FieldCtx, f, g, n: int, ratios) -> dict:
                 skip.add(r[0] if r else ctx.zero_raw)
         else:
             skip.add(None)
-    roots = Counter(ratios).get
+    roots = Counter(ratios)
     inner = (1 << n) - 2
+
+    def entry(k, rootless):
+        sums = (1 << (k + 1)) - 1
+        for d in rootless:
+            sums |= sums << d
+        return sums & inner, k > 0
+
     # An entry whose rootless part has m = n - k ≤ 3 depends on k alone: one
     # tuple per such k, shared by its fibers. The entries left None, m ≥ 4,
-    # are filled in from a factorization of P_μ.
-    small = {}
-    for k in range(max(n - 3, 0), n + 1):
-        sums = (1 << (k + 1)) - 1
-        if n - k >= 2:
-            sums |= sums << (n - k)
-        small[k] = (sums & inner, k > 0)
-    table = {
-        mu: small.get(roots(mu, 0))
-        for mu in itertools.chain(range(ctx.p) if ctx.t == 1 else ctx.elements(), [None])
-        if mu not in skip
-    }
-    for mu in [mu for mu, entry in table.items() if entry is None]:
+    # are filled in from P_μ.
+    small = {k: entry(k, [n - k] if n - k >= 2 else []) for k in range(max(n - 3, 0), n + 1)}
+    table = dict.fromkeys(itertools.chain(ctx.elements(), [None]), small.get(0))
+    table.update((mu, small.get(k)) for mu, k in roots.items())
+    for mu in skip:
+        table.pop(mu, None)
+    for mu in [mu for mu, e in table.items() if e is None]:
         P = f if mu is None else _usub(ctx, g, _uscale(ctx, f, mu))
-        sums = 1
-        for part, d in _u_ddf(ctx, _umonic(ctx, P)):
-            for _ in range((len(part) - 1) // d):
-                sums |= sums << d
-        table[mu] = (sums & inner, roots(mu, 0) > 0)
+        k = roots.get(mu, 0)
+        m = n - k
+        if m <= 5:
+            # r = k + 1 or k + 2 factors; disc(P) a square iff n - r is even
+            split = _disc_is_square(ctx, P) == (m % 2 == 0)
+            table[mu] = entry(k, [2, m - 2] if split else [m])
+        else:
+            rootless = []
+            for part, d in _u_ddf(ctx, _umonic(ctx, P)):
+                if d > 1:
+                    rootless += [d] * ((len(part) - 1) // d)
+            table[mu] = entry(k, rootless)
     common = inner
     for mask, _ in table.values():
         common &= mask
@@ -235,32 +278,42 @@ def _ratio_table(ctx: FieldCtx, f, g) -> list:
     return ratios
 
 
-def _sieve_settles(ctx: FieldCtx, lam_raw, ratios, table, need_point: bool) -> bool:
-    """True when the fibers of λ show F_λ absolutely irreducible: no Y-degree
-    in 1..n-1 is a factor-degree sum on every full squarefree fiber, and, when
-    need_point, one of them has a linear factor. ratios[x0] is g(x0)/f(x0), or
-    None where f(x0) = 0."""
-    mask = -1
+def _sieve(ctx: FieldCtx, lams, ratios, table, need_point: bool) -> list:
+    """The λ of lams, in order, that the fibers leave open. The fibers of λ
+    show F_λ absolutely irreducible when no Y-degree in 1..n-1 is a
+    factor-degree sum on every full squarefree fiber, and, when need_point,
+    one of them has a linear factor. ratios[x0] is g(x0)/f(x0), or None where
+    f(x0) = 0; an empty table leaves every λ open. One call walks every λ,
+    so a λ that settles within a few fibers costs no call of its own."""
+    if not table:
+        return list(lams)
+    left = []
     if ctx.t == 1:
         p = ctx.p
+        for lam in lams:
+            mask, need = -1, need_point
+            for r in ratios:
+                entry = table.get(None if r is None else lam * r % p)
+                if entry is not None:
+                    mask &= entry[0]
+                    need = need and not entry[1]
+                    if not mask and not need:
+                        break
+            else:
+                left.append(lam)
+        return left
+    for lam in lams:
+        mask, need = -1, need_point
         for r in ratios:
-            entry = table.get(None if r is None else lam_raw * r % p)
-            if entry is None:
-                continue
-            mask &= entry[0]
-            need_point = need_point and not entry[1]
-            if not mask and not need_point:
-                return True
-        return False
-    for r in ratios:
-        entry = table.get(None if r is None else ctx.rmul(lam_raw, r))
-        if entry is None:
-            continue
-        mask &= entry[0]
-        need_point = need_point and not entry[1]
-        if not mask and not need_point:
-            return True
-    return False
+            entry = table.get(None if r is None else ctx.rmul(lam, r))
+            if entry is not None:
+                mask &= entry[0]
+                need = need and not entry[1]
+                if not mask and not need:
+                    break
+        else:
+            left.append(lam)
+    return left
 
 
 def exceptional_lambdas(psi: RationalFunc, p: int | None = None, max_ext: int = 1) -> LambdaReport:
@@ -301,8 +354,9 @@ def exceptional_lambdas(psi: RationalFunc, p: int | None = None, max_ext: int = 
     # meet; they are validated before any table work, and the refusal names
     # the first λ that shows it. λ = 1 is always exceptional: X - Y divides
     # F_1, so the sieve never settles it, every fiber keeps a root and
-    # need_point never matters there. F_1 is kept for its bivariate test;
-    # every other F_λ is built only when the sieve leaves λ open.
+    # need_point never matters there, so it skips the sieve. F_1 is kept
+    # for its bivariate test; every other F_λ is built only when the sieve
+    # leaves λ open.
     first = build_sym_poly(psi, 1)
     _validate_bivariate_input(first)
     if psi.num.degree == psi.den.degree:
@@ -315,15 +369,16 @@ def exceptional_lambdas(psi: RationalFunc, p: int | None = None, max_ext: int = 
         g = list(embed_unipoly(psi.den, ctx_t).coeffs)
         ratios = _ratio_table(ctx_t, f, g)
         table = _fiber_table(ctx_t, f, g, n, ratios)
-        for raw in range(1, ctx.p) if t == 1 else ctx_t.elements():
-            if t > 1 and (ctx_t.is_zero_raw(raw) or _in_proper_subfield(ctx_t, raw, t)):
-                continue
-            if table and _sieve_settles(ctx_t, raw, ratios, table, need_point):
-                continue
-            if ctx_t == ctx and raw == ctx.one_raw:
-                sym = first
-            else:
-                sym = build_sym_poly(psi, FieldElem(ctx_t, raw))
+        if t == 1:
+            lams = [1] + _sieve(ctx_t, range(2, ctx.p), ratios, table, need_point)
+        else:
+            lams = (
+                raw for raw in ctx_t.elements()
+                if not (ctx_t.is_zero_raw(raw) or _in_proper_subfield(ctx_t, raw, t))
+            )
+            lams = _sieve(ctx_t, lams, ratios, table, need_point)
+        for raw in lams:
+            sym = first if t == 1 and raw == 1 else build_sym_poly(psi, FieldElem(ctx_t, raw))
             verdict = is_absolutely_irreducible(sym)
             if verdict.absolutely:
                 continue

@@ -497,6 +497,28 @@ def test_pinned_cases_reach_every_engine_branch(monkeypatch):
     assert all(hits.values()), hits
 
 
+def test_repeated_factor_comes_from_the_y_gcd_when_no_fiber_is_squarefree(monkeypatch):
+    # F = A^2 B: A(x0, Y)^2 divides every fiber, so the walk for a good point
+    # stops after 2·deg_x·deg_y + 1 = 25 of the 101 elements, and the Y-gcd
+    # of F and F_Y returns A.
+    ctx = FieldCtx(101)
+    A = B(ctx, {(0, 1): 1, (1, 0): 1, (0, 0): 2})
+    F = A * A * B(ctx, {(0, 1): 1, (2, 0): 1, (0, 0): 1})
+    gcds = []
+    gcd_y = factorization._gcd_y
+
+    def counting(F, G):
+        gcds.append(gcd_y(F, G))
+        return gcds[-1]
+
+    monkeypatch.setattr(factorization, "_gcd_y", counting)
+    assert factorization._good_point(F) is None
+    w = find_proper_factor(F)
+    assert len(gcds) == 1 and w == gcds[0]
+    assert w.grlex_monic() == A.grlex_monic()
+    assert F.try_divide(w) is not None
+
+
 def test_embedding_roundtrip():
     src = ext_field_build(3, 2)
     dst = ext_field_build(3, 4)

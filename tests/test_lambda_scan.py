@@ -131,6 +131,27 @@ def test_lambda_one_is_always_exceptional():
         assert 1 in {int(w.lam) for w in report.exceptional}
 
 
+@pytest.mark.parametrize("expr, p, max_ext", [
+    ("(x^2+1)/(x+2)", 1009, 1), ("x^4+x", 101, 1), ("x^2+x", 11, 2),
+])
+def test_lambda_one_skips_the_sieve(monkeypatch, expr, p, max_ext):
+    # Every fiber of F_1 has the root Y = x0, so the sieve could never settle
+    # λ = 1; it goes straight to the bivariate test, and every other λ of
+    # F_p* still meets the sieve once.
+    sieved = []
+    sieve = lambda_scan._sieve
+
+    def recording(ctx, lams, *args):
+        lams = list(lams)
+        sieved.extend((ctx.t, lam) for lam in lams)
+        return sieve(ctx, lams, *args)
+
+    monkeypatch.setattr(lambda_scan, "_sieve", recording)
+    report = exceptional_lambdas(parse_rational_expr(expr, p), p, max_ext=max_ext)
+    assert int(report.exceptional[0].lam) == 1
+    assert [lam for t, lam in sieved if t == 1] == list(range(2, p))
+
+
 def test_scale_robustness():
     rng = random.Random(23)
     done = 0
@@ -295,6 +316,11 @@ def _assert_table_matches_reference(psi, t):
 # Beyond ORACLE_MAPS, two maps of degree 5 whose fibers can keep a rootless
 # part of degree 4 or 5.
 TABLE_MAPS = ORACLE_MAPS + ("x^5+x^2+1", "(x^5+2)/(x^3+x+1)")
+# Maps of degree 6, 7 and 8, whose fibers can also keep a rootless part of
+# degree 6 or more, the entries still factored. At n = 6 and 7 the
+# discriminant's sign (-1)^(n(n-1)/2) is -1, and (x^7+x+1)/(x+2) at p = 7
+# has p | n.
+HIGH_DEGREE_MAPS = ("x^6+x^2+1", "(x^7+x+1)/(x+2)", "x^8+x^3+2")
 
 
 def test_fiber_table_matches_factor_degree_reference():
@@ -305,6 +331,42 @@ def test_fiber_table_matches_factor_degree_reference():
             _assert_table_matches_reference(parse_rational_expr(expr, p), 1)
         for p in (5, 7, 11):
             _assert_table_matches_reference(parse_rational_expr(expr, p), 2)
+
+
+@pytest.mark.parametrize("expr", HIGH_DEGREE_MAPS)
+def test_fiber_table_matches_reference_at_degrees_6_to_8(expr):
+    # a smaller grid than TABLE_MAPS': the reference factors fibers of degree
+    # up to 8 at every μ
+    for p in filter(is_prime, range(7, 60)):
+        _assert_table_matches_reference(parse_rational_expr(expr, p), 1)
+    for p in (5, 7):
+        _assert_table_matches_reference(parse_rational_expr(expr, p), 2)
+
+
+@pytest.mark.parametrize("p, t, n", [
+    # n(n-1)/2 odd, and -1 not a square in F_p as p = 3 mod 4
+    (7, 1, 6), (11, 1, 7), (19, 1, 6), (7, 1, 3),
+    # p | n: P' has degree below n - 1, and lc(P) enters the character
+    (5, 1, 5), (7, 1, 7), (5, 2, 5),
+    # even n(n-1)/2, and F_{p^2}
+    (13, 1, 4), (11, 1, 5), (7, 2, 6),
+])
+def test_discriminant_character_gives_the_factor_count_parity(p, t, n):
+    # Stickelberger: disc(P) is a square exactly when n - r is even, for r
+    # the number of irreducible factors; r comes from a full factorization.
+    ctx = ext_field_build(p, t)
+    rng = random.Random(1000 * p + 10 * n + t)
+    elems = list(ctx.elements())
+    checked, parities = 0, set()
+    while checked < 60:
+        P = [rng.choice(elems) for _ in range(n)] + [rng.choice(elems[1:])]
+        if len(_ugcd(ctx, P, _uderiv(ctx, P))) != 1:
+            continue
+        r = len(factorization._u_factor(ctx, P)[1])
+        assert lambda_scan._disc_is_square(ctx, P) == ((n - r) % 2 == 0), P
+        parities.add((n - r) % 2)
+        checked += 1
+    assert parities == {0, 1}
 
 
 @settings(max_examples=150, deadline=None)
@@ -367,7 +429,8 @@ def test_fiber_table_factors_only_fibers_with_a_large_rootless_part(monkeypatch)
         report = exceptional_lambdas(parse_rational_expr(expr, p), p)
         assert sorted(int(w.lam) for w in report.exceptional) == want, (expr, p)
     assert calls == []
-    # x^4+x at p = 101: exactly the rootless full-degree squarefree fibers.
+    # x^4+x at p = 101 has 37 rootless full-degree squarefree fibers, each
+    # a quartic whose split the discriminant's character decides unfactored.
     psi = parse_rational_expr("x^4+x", 101)
     ctx, f, g, n, ratios = _table_inputs(psi, 1)
     table = lambda_scan._fiber_table(ctx, f, g, n, ratios)
@@ -377,7 +440,45 @@ def test_fiber_table_factors_only_fibers_with_a_large_rootless_part(monkeypatch)
         for mu in rootless
         for y in ctx.elements()
     )
-    assert len(calls) == len(rootless) == 37
+    assert len(rootless) == 37
+    assert calls == []
+    # x^2/(x^4+x^2+1) at p = 401: every fiber splits, and the table that
+    # comes out empty is built without one factorization.
+    psi = parse_rational_expr("x^2/(x^4+x^2+1)", 401)
+    assert lambda_scan._fiber_table(*_table_inputs(psi, 1)) == {}
+    assert calls == []
+    # A sextic map factors exactly its entries with a rootless part of degree
+    # m ≥ 6, which at n = 6 are the rootless fibers.
+    psi = parse_rational_expr("x^6+x^2+1", 101)
+    ctx, f, g, n, ratios = _table_inputs(psi, 1)
+    table = lambda_scan._fiber_table(ctx, f, g, n, ratios)
+    rootless = [mu for mu, (_, linear) in table.items() if not linear]
+    assert len(calls) == len(rootless) == 66
+
+
+SCAN_INSTANCES = (
+    ("x^2+x", 211), ("x^2+x", 401), ("x^3+x", 211), ("x^3+x", 293), ("x^4+x", 101),
+    ("(x^2+1)/(x+2)", 1009), ("(x^2+1)/(x+2)", 4409),
+)
+
+
+def test_scan_instances_test_their_exceptional_lambdas_without_a_y_gcd(monkeypatch):
+    # The benchmark's scan instances: each F_λ left to the bivariate test has
+    # a squarefree fiber among its first points, which shows F_λ squarefree.
+    gcds = []
+    gcd_y = factorization._gcd_y
+
+    def counting(F, G):
+        gcds.append(F)
+        return gcd_y(F, G)
+
+    monkeypatch.setattr(factorization, "_gcd_y", counting)
+    found = []
+    for expr, p in SCAN_INSTANCES:
+        report = exceptional_lambdas(parse_rational_expr(expr, p), p)
+        found += [int(w.lam) for w in report.exceptional]
+    assert len(found) == 9
+    assert gcds == []
 
 
 def _count_scan_work(monkeypatch, expr, p):
