@@ -3,35 +3,21 @@
 Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
 All numeric output goes through the selected format (text, csv, or json), so
 identical invocations produce byte-identical output.
+
+The algebra core is imported here, as `import subgroup_values` loads it
+anyway. Each handler imports the other layers it runs, so only `trace`,
+`sweep`, `exponents` and `perfect-power -T` load the pipeline and its process
+pool.
 """
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 
 from . import factorization
-from .counting import (
-    Interval,
-    count_values_in_subgroup,
-    integral_points_in_box,
-    shortest_covering_interval,
-    subgroup_of_order,
-    vinogradov_count,
-)
 from .errors import ParseError, SubgroupValuesError
 from .fields import centered_residue, check_prime
 from .lambda_scan import exceptional_lambdas
-from .lattices import SmallResidueInstance, find_small_residue_multiplier
 from .parsing import parse_int_bipoly, parse_rational_expr
-from .reporting import emit_report, mapping_to_output
-from .pipeline import (
-    exponent_set,
-    reduce_perfect_power,
-    run_sweep,
-    standard_sweep_cells,
-    trace_proof,
-)
 
 def _parse_interval(text: str):
     """Closed range "a..b" -> (u, H) with u = a - 1, H = b - a + 1."""
@@ -48,6 +34,8 @@ def _parse_interval(text: str):
 
 
 def _parse_num_list(text: str, allow_fraction: bool = False):
+    from fractions import Fraction
+
     out = []
     for piece in text.split(","):
         piece = piece.strip()
@@ -139,6 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_pairs(pairs, a: argparse.Namespace) -> None:
+    from .reporting import mapping_to_output
+
     text = mapping_to_output(pairs, a.format)
     if a.output:
         with open(a.output, "w", newline="") as fh:
@@ -148,6 +138,8 @@ def _emit_pairs(pairs, a: argparse.Namespace) -> None:
 
 
 def _cmd_count(a):
+    from .counting import Interval, count_values_in_subgroup, subgroup_of_order
+
     u, H = _parse_interval(a.interval)
     psi = parse_rational_expr(a.psi, a.p)
     G = subgroup_of_order(a.p, a.T)
@@ -178,6 +170,8 @@ def _cmd_lambda_scan(a):
 
 
 def _cmd_lattice_find(a):
+    from .lattices import SmallResidueInstance, find_small_residue_multiplier
+
     check_prime(a.p)
     b = _parse_num_list(a.b)
     V = _parse_num_list(a.V, allow_fraction=True)
@@ -195,12 +189,16 @@ def _cmd_perfect_power(a):
         root = factorization.extract_power_root(psi, n)
         pairs.append(("root", root.text() if root.ctx.t == 1 else f"<degree-{root.ctx.t} extension>"))
     if a.T is not None:
+        from .pipeline import reduce_perfect_power
+
         _, reduced = reduce_perfect_power(psi, a.T)
         pairs.append(("reduced_order", reduced))
     _emit_pairs(pairs, a)
 
 
 def _cmd_exponents(a):
+    from .pipeline import exponent_set
+
     e = exponent_set(a.d, a.e)
     _emit_pairs(
         [("d", e.d), ("e", e.e), ("ell", e.ell), ("m", e.m), ("k", e.k), ("s", e.s),
@@ -210,6 +208,8 @@ def _cmd_exponents(a):
 
 
 def _cmd_trace(a):
+    from .pipeline import trace_proof
+
     psi = parse_rational_expr(a.psi, a.p)
     tr = trace_proof(psi, a.p, a.H, a.T)
     _emit_pairs(
@@ -223,6 +223,11 @@ def _cmd_trace(a):
 
 
 def _cmd_sweep(a):
+    import json
+
+    from .pipeline import run_sweep, standard_sweep_cells
+    from .reporting import emit_report
+
     if a.standard == (a.config is not None):
         raise SubgroupValuesError("pass exactly one of --standard or --config")
     if a.standard:
@@ -239,17 +244,23 @@ def _cmd_sweep(a):
 
 
 def _cmd_kshort(a):
+    from .counting import shortest_covering_interval
+
     f = parse_rational_expr(a.psi, a.p)
     k = shortest_covering_interval(f, a.H, a.p, wrap=a.wrap)
     _emit_pairs([("p", a.p), ("psi", f.text()), ("H", a.H), ("wrap", a.wrap), ("K", k)], a)
 
 
 def _cmd_vinogradov(a):
+    from .counting import vinogradov_count
+
     j = vinogradov_count(a.d, a.k, a.H, budget=a.budget)
     _emit_pairs([("d", a.d), ("k", a.k), ("H", a.H), ("count", j)], a)
 
 
 def _cmd_points(a):
+    from .counting import integral_points_in_box
+
     terms = parse_int_bipoly(a.poly)
     res = integral_points_in_box(terms, a.H)
     _emit_pairs(

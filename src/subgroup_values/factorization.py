@@ -442,6 +442,25 @@ def _spoly_mul(ctx, A, B, prec):
     return out
 
 
+def _spoly_coef(ctx, A, B, c):
+    """The X^c coefficient of A*B, as a list over Y, for polynomials in Y
+    whose coefficients are X-series of length > c."""
+    if ctx.t == 1:
+        out = [0] * (len(A) + len(B) - 1)
+        for i, sa in enumerate(A):
+            for j, sb in enumerate(B):
+                out[i + j] += sum(x * y for x, y in zip(sa, sb[c::-1]))
+        p = ctx.p
+        return [v % p for v in out]
+    out = [ctx.zero_raw] * (len(A) + len(B) - 1)
+    for i, sa in enumerate(A):
+        for j, sb in enumerate(B):
+            for x, y in zip(sa, sb[c::-1]):
+                if not ctx.is_zero_raw(x) and not ctx.is_zero_raw(y):
+                    out[i + j] = ctx.radd(out[i + j], ctx.rmul(x, y))
+    return out
+
+
 def _spoly_prod_many(ctx, polys, prec):
     acc = polys[0]
     for q in polys[1:]:
@@ -490,16 +509,34 @@ def _hensel_find_factor(F: BiPoly, x0):
         _, u = _uextgcd(ctx, qi, g)
         w.append(_urem(ctx, u, g))
 
-    for c in range(1, prec):
-        P = _spoly_prod_many(ctx, lifted, c + 1)
+    # prefix[k] = lifted[0] * ... * lifted[k], extended by one X-coefficient
+    # per step; at c = 0 the base factors multiply to the monic fiber, so
+    # err is zero there
+    prefix = [lifted[0]]
+    for f in lifted[1:]:
+        prefix.append([[z] * prec for _ in range(len(prefix[-1]) + len(f) - 1)])
+
+    for c in range(prec):
+        for k in range(1, r):
+            for jj, v in enumerate(_spoly_coef(ctx, prefix[k - 1], lifted[k], c)):
+                prefix[k][jj][c] = v
+        P = prefix[-1]
         err = _ustrip(ctx, [ctx.rsub(gstar[j][c], P[j][c]) for j in range(n + 1)])
         if not err:
             continue
-        for i, g in enumerate(base_factors):
-            delta = _urem(ctx, _umul(ctx, err, w[i]), g)
-            fi = lifted[i]
+        deltas = [_urem(ctx, _umul(ctx, err, w[i]), g) for i, g in enumerate(base_factors)]
+        for fi, delta in zip(lifted, deltas):
             for jj, dc in enumerate(delta):
                 fi[jj][c] = ctx.radd(fi[jj][c], dc)
+        # The corrections enter the prefixes: X^c of prefix[k] grows by
+        # D_k = D_{k-1} * base_factors[k] + prefix[k-1](X=0) * deltas[k],
+        # D_0 = deltas[0].
+        D = deltas[0]
+        for k in range(1, r):
+            low = [row[0] for row in prefix[k - 1]]
+            D = _uadd(ctx, _umul(ctx, D, base_factors[k]), _umul(ctx, low, deltas[k]))
+            for jj, dc in enumerate(D):
+                prefix[k][jj][c] = ctx.radd(prefix[k][jj][c], dc)
 
     # subset recombination; a true factor corresponds to a sub-product
     for size in range(1, r // 2 + 1):

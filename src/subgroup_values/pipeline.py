@@ -10,6 +10,9 @@ F(x, y) = G(x, y) + z p at every congruent pair.
 
 import itertools
 import math
+# Imported with the module, not inside run_sweep: the package loads this
+# module only when a pipeline name is first used, and a sweep's first
+# jobs > 1 call would otherwise pay the process pool's ~10 ms of imports.
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction

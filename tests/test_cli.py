@@ -275,3 +275,18 @@ def test_lambda_scan_survey_script_prints_every_row():
     header, *rows = r.stdout.splitlines()
     assert header.split()[:2] == ["p", "(d,e)"]
     assert len(rows) == 15
+
+
+def test_startup_time_script_times_the_import_and_every_subcommand():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "startup_time.py"
+    r = subprocess.run([sys.executable, str(script), "--samples", "1"], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    header, *rows = r.stdout.splitlines()
+    assert header.split()[:2] == ["median_ms", "command"]
+    labels = [row.split(None, 1)[1] for row in rows]
+    assert labels[0] == "import subgroup_values"
+    assert [label.split()[0] for label in labels[1:]] == [
+        "count", "lambda-scan", "lattice-find", "perfect-power", "exponents", "trace",
+        "sweep", "kshort", "vinogradov", "points",
+    ]
+    assert all(float(row.split()[0]) > 0 for row in rows)

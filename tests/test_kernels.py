@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subgroup_values.errors import SubgroupValuesError, ZeroPolynomial
-from subgroup_values.factorization import _series_mul, _spoly_mul, embed_unipoly
+from subgroup_values.factorization import _series_mul, _spoly_coef, _spoly_mul, embed_unipoly
 from subgroup_values.fields import FieldCtx, ext_field_build
 from subgroup_values.lambda_scan import _fiber_table, _ratio_table, _sieve
 from subgroup_values.parsing import parse_rational_expr
@@ -157,6 +157,21 @@ def test_kernels_match_the_generic_loops(data, p):
     ctx = FieldCtx(p)
     a, b = data.draw(_raw_lists(p)), data.draw(_raw_lists(p))
     _assert_kernels_match(ctx, a, b, data.draw(st.integers(1, 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), field=st.sampled_from(((101, 1), (4294967291, 1), (5, 2), (3, 3))),
+       prec=st.integers(1, 6))
+def test_series_coefficient_is_a_column_of_the_product(data, field, prec):
+    # The Hensel lift extends its running products one X-coefficient at a
+    # time: _spoly_coef(A, B, c) must be column c of the product mod X^prec.
+    ctx = ext_field_build(*field)
+    elem = st.integers(0, ctx.p - 1) if ctx.t == 1 else st.sampled_from(list(ctx.elements()))
+    rows = st.lists(st.lists(elem, min_size=prec, max_size=prec), min_size=1, max_size=3)
+    A, B = data.draw(rows), data.draw(rows)
+    prod = _ref_spoly_mul(ctx, A, B, prec)
+    for c in range(prec):
+        assert _spoly_coef(ctx, A, B, c) == [row[c] for row in prod]
 
 
 @pytest.mark.parametrize("a, b", [

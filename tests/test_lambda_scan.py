@@ -481,6 +481,24 @@ def test_scan_instances_test_their_exceptional_lambdas_without_a_y_gcd(monkeypat
     assert gcds == []
 
 
+def test_hensel_lift_extends_its_products_instead_of_rebuilding_them(monkeypatch):
+    # The lift keeps running prefix products of its factors and extends them
+    # by one X-coefficient per step; over the benchmark's scan instances every
+    # recombination subset is a single factor, so no full product is taken.
+    calls = {"_spoly_mul": 0, "_hensel_find_factor": 0}
+    for name in calls:
+        fn = getattr(factorization, name)
+
+        def counting(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(factorization, name, counting)
+    for expr, p in SCAN_INSTANCES:
+        exceptional_lambdas(parse_rational_expr(expr, p), p)
+    assert calls == {"_spoly_mul": 0, "_hensel_find_factor": 9}
+
+
 def _count_scan_work(monkeypatch, expr, p):
     """(exceptional λ, gcd calls in lambda_scan, λ given to build_sym_poly, λ
     that reached is_absolutely_irreducible) for one scan."""
