@@ -55,9 +55,9 @@ _DEFERRED = {
     name: module
     for module, names in (
         ("counting", (
-            "Interval", "Subgroup", "congruent_pairs", "count_value_set_intersection",
-            "count_values_in_subgroup", "integral_points_in_box",
-            "shortest_covering_interval", "subgroup_of_order", "vinogradov_count",
+            "Interval", "Subgroup", "congruent_pairs", "count_values_in_subgroup",
+            "integral_points_in_box", "shortest_covering_interval", "subgroup_of_order",
+            "vinogradov_count",
         )),
         ("lattices", (
             "LatticeBasis", "SmallResidueInstance", "build_red_basis",

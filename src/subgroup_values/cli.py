@@ -37,12 +37,17 @@ def _parse_num_list(text: str, allow_fraction: bool = False):
     from fractions import Fraction
 
     out = []
-    for piece in text.split(","):
-        piece = piece.strip()
+    start = 0
+    for chunk in text.split(","):
+        piece = chunk.strip()
         if allow_fraction and ("/" in piece or "." in piece):
-            out.append(Fraction(piece))
+            try:
+                out.append(Fraction(piece))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {piece!r}", start + chunk.index(piece)) from None
         else:
             out.append(int(piece))
+        start += len(chunk) + 1
     return out
 
 
@@ -222,6 +227,19 @@ def _cmd_trace(a):
     )
 
 
+def _check_cell(i, cell):
+    """Refuse a config cell unless it is an object with a string psi and int
+    p, H, T and, when present, u (a bool is no int)."""
+    if not isinstance(cell, dict):
+        raise SubgroupValuesError(f"config cell {i} is not an object")
+    for key in ("p", "psi", "H", "T", "u"):
+        kind, what = (str, "a string") if key == "psi" else (int, "an integer")
+        if key not in cell and key != "u":
+            raise SubgroupValuesError(f"config cell {i} has no {key!r}")
+        if key in cell and (isinstance(cell[key], bool) or not isinstance(cell[key], kind)):
+            raise SubgroupValuesError(f"config cell {i}: {key!r} must be {what}")
+
+
 def _cmd_sweep(a):
     import json
 
@@ -237,6 +255,8 @@ def _cmd_sweep(a):
             cells = json.load(fh)
         if not isinstance(cells, list):
             raise SubgroupValuesError("config must be a JSON list of cells")
+        for i, cell in enumerate(cells):
+            _check_cell(i, cell)
     rows = run_sweep(cells, jobs=max(a.jobs, 1))
     text = emit_report(rows, fmt=a.format, path=a.output)
     if not a.output:

@@ -116,17 +116,6 @@ def count_values_in_subgroup(psi: RationalFunc, interval: Interval, G: Subgroup)
     return SubgroupCount(len(witnesses), tuple(witnesses))
 
 
-def count_value_set_intersection(psi: RationalFunc, S, T) -> int:
-    """#(ψ(S) ∩ T): set semantics, distinct values only."""
-    values = set()
-    for x in S:
-        v = psi.eval_raw(psi.ctx.el(int(x)).raw)
-        if v is not None:
-            values.add(v)
-    tset = {psi.ctx.el(int(y)).raw for y in T}
-    return len(values & tset)
-
-
 def _cover_length(values, p: int, wrap: bool) -> int:
     vs = sorted(set(values))
     if not wrap:

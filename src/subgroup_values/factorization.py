@@ -14,6 +14,7 @@ byte.
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -53,13 +54,8 @@ from .polynomials import (
 def _u_pth_root(ctx, f):
     """f with f' = 0 is g(X^p); return g, mapping coefficients through the
     inverse Frobenius c -> c^(p^(t-1))."""
-    p = ctx.p
     e = ctx.p ** (ctx.t - 1)
-    out = []
-    for i in range(0, len(f), p):
-        c = f[i]
-        out.append(c if ctx.t == 1 else ctx.rpow(c, e))
-    return _ustrip(ctx, out)
+    return _ustrip(ctx, [ctx.rpow(c, e) for c in f[:: ctx.p]])
 
 
 def _u_sqfree(ctx, f):
@@ -211,7 +207,7 @@ class Embedding:
     """F_{p^a} -> F_{p^b} with a | b, sending the source generator to the
     lexicographically smallest root of the source modulus."""
 
-    __slots__ = ("src", "dst", "_powers", "_identity")
+    __slots__ = ("src", "dst", "_powers", "_identity", "_preimage")
 
     def __init__(self, src: FieldCtx, dst: FieldCtx):
         if src.p != dst.p or dst.t % src.t != 0:
@@ -219,6 +215,7 @@ class Embedding:
         self.src = src
         self.dst = dst
         self._identity = src == dst
+        self._preimage = None
         if self._identity or src.t == 1:
             self._powers = None
         else:
@@ -246,50 +243,17 @@ class Embedding:
         return acc
 
     def descend_raw(self, a):
-        """Preimage in the source field, or None when a is outside the image.
+        """Preimage in the source field, or None when a is outside the image,
+        read from a table of the whole source field built on first use.
 
-        The embedding is not the identity (its one caller descends from a
-        proper extension), so dst.t >= 2 and a is a tuple.
+        Its one caller, _factor_via_extension, runs only when _good_point
+        found no good point among the first 2·deg_x·deg_y + 1 elements of a
+        squarefree F, so the source field has at most 2·deg_x·deg_y ≤ 128
+        elements.
         """
-        src, dst = self.src, self.dst
-        if src.t == 1:
-            if any(a[1:]):
-                return None
-            return a[0]
-        p = dst.p
-        cols = self._powers
-        target = list(a)
-        # gaussian elimination on the (dst.t x src.t) system
-        rows = dst.t
-        ncols = len(cols)
-        mat = [[cols[j][i] for j in range(ncols)] + [target[i]] for i in range(rows)]
-        piv_cols = []
-        r = 0
-        for c in range(ncols):
-            pr = next((i for i in range(r, rows) if mat[i][c] % p), None)
-            if pr is None:
-                continue
-            mat[r], mat[pr] = mat[pr], mat[r]
-            inv = pow(mat[r][c], -1, p)
-            mat[r] = [v * inv % p for v in mat[r]]
-            for i in range(rows):
-                if i != r and mat[i][c] % p:
-                    fac = mat[i][c]
-                    mat[i] = [(v - fac * w) % p for v, w in zip(mat[i], mat[r])]
-            piv_cols.append(c)
-            r += 1
-            if r == rows:
-                break
-        sol = [0] * ncols
-        for i, c in enumerate(piv_cols):
-            sol[c] = mat[i][-1]
-        for i in range(r, rows):
-            if mat[i][-1] % p:
-                return None
-        # verify (the pivoting above assumed full column rank)
-        if self.map_raw(tuple(sol)) != a:
-            return None
-        return tuple(sol)
+        if self._preimage is None:
+            self._preimage = {self.map_raw(x): x for x in self.src.elements()}
+        return self._preimage.get(a)
 
 
 @functools.lru_cache(maxsize=None)
@@ -371,33 +335,8 @@ def _gcd_y(F: BiPoly, G: BiPoly) -> BiPoly:
 
 
 def _pad(ctx, lst, prec):
-    z = ctx.zero_raw
     out = list(lst[:prec])
-    out.extend([z] * (prec - len(out)))
-    return out
-
-
-def _series_mul(ctx, a, b, prec):
-    if ctx.t == 1:
-        out = [0] * prec
-        for i, x in enumerate(a[:prec]):
-            if x:
-                for j, y in enumerate(b[: prec - i], i):
-                    out[j] += x * y
-        p = ctx.p
-        return [c % p for c in out]
-    z = ctx.zero_raw
-    out = [z] * prec
-    for i, x in enumerate(a):
-        if i >= prec:
-            break
-        if not ctx.is_zero_raw(x):
-            top = min(prec - i, len(b))
-            for j in range(top):
-                y = b[j]
-                if not ctx.is_zero_raw(y):
-                    out[i + j] = ctx.radd(out[i + j], ctx.rmul(x, y))
-    return out
+    return out + [ctx.zero_raw] * (prec - len(out))
 
 
 def _series_inv(ctx, f, prec):
@@ -414,34 +353,6 @@ def _series_inv(ctx, f, prec):
     return out
 
 
-def _spoly_mul(ctx, A, B, prec):
-    """Product of polynomials in Y whose coefficients are X-series mod X^prec."""
-    if ctx.t == 1:
-        out = [[0] * prec for _ in range(len(A) + len(B) - 1)]
-        for i, sa in enumerate(A):
-            for j, sb in enumerate(B):
-                row = out[i + j]
-                for k, x in enumerate(sa[:prec]):
-                    if x:
-                        for l, y in enumerate(sb[: prec - k], k):
-                            row[l] += x * y
-        p = ctx.p
-        return [[c % p for c in row] for row in out]
-    z = ctx.zero_raw
-    out = [[z] * prec for _ in range(len(A) + len(B) - 1)]
-    for i, sa in enumerate(A):
-        for j, sb in enumerate(B):
-            row = out[i + j]
-            for k, x in enumerate(sa):
-                if not ctx.is_zero_raw(x):
-                    top = min(prec - k, len(sb))
-                    for l in range(top):
-                        y = sb[l]
-                        if not ctx.is_zero_raw(y):
-                            row[k + l] = ctx.radd(row[k + l], ctx.rmul(x, y))
-    return out
-
-
 def _spoly_coef(ctx, A, B, c):
     """The X^c coefficient of A*B, as a list over Y, for polynomials in Y
     whose coefficients are X-series of length > c."""
@@ -449,7 +360,7 @@ def _spoly_coef(ctx, A, B, c):
         out = [0] * (len(A) + len(B) - 1)
         for i, sa in enumerate(A):
             for j, sb in enumerate(B):
-                out[i + j] += sum(x * y for x, y in zip(sa, sb[c::-1]))
+                out[i + j] += sum(map(operator.mul, sa, sb[c::-1]))
         p = ctx.p
         return [v % p for v in out]
     out = [ctx.zero_raw] * (len(A) + len(B) - 1)
@@ -461,22 +372,29 @@ def _spoly_coef(ctx, A, B, c):
     return out
 
 
-def _spoly_prod_many(ctx, polys, prec):
-    acc = polys[0]
-    for q in polys[1:]:
-        acc = _spoly_mul(ctx, acc, q, prec)
-    return acc
+def _spoly_mul(ctx, A, B, prec):
+    """Product of polynomials in Y whose coefficients are X-series mod X^prec,
+    one _spoly_coef column per power of X."""
+    A = [_pad(ctx, s, prec) for s in A]
+    B = [_pad(ctx, s, prec) for s in B]
+    cols = [_spoly_coef(ctx, A, B, c) for c in range(prec)]
+    return [list(row) for row in zip(*cols)]
 
 
 def _hensel_find_factor(F: BiPoly, x0):
     """One proper factor of a Y-primitive squarefree F using the specialization
-    at x0 (lc_Y(x0) != 0, F(x0, Y) squarefree), or None when F is irreducible."""
+    at x0 (lc_Y(x0) != 0, F(x0, Y) squarefree), or None when F is irreducible.
+
+    Every truncated product is built from _spoly_coef columns: the monic
+    target G/lc_Y and each recombination candidate (lc_Y times a subset's
+    lifted factors) through _spoly_mul, and the running prefix products of
+    the lifted factors one column per power of X.
+    """
     ctx = F.ctx
     G = F.shift_x(x0)
     rows = G.to_y_view()
     n = len(rows) - 1
-    m = G.deg_x
-    prec = 2 * m + 1
+    prec = 2 * G.deg_x + 1
     z = ctx.zero_raw
 
     u0 = _ustrip(ctx, [(row[0] if row else z) for row in rows])
@@ -490,14 +408,10 @@ def _hensel_find_factor(F: BiPoly, x0):
 
     lc_series = _pad(ctx, rows[n], prec)
     linv = _series_inv(ctx, lc_series, prec)
-    gstar = [_series_mul(ctx, _pad(ctx, row, prec), linv, prec) for row in rows]
-    one_series = [ctx.one_raw] + [z] * (prec - 1)
-    gstar[n] = one_series
+    gstar = _spoly_mul(ctx, rows, [linv], prec)
 
     # lifted factors: monic in Y, coefficients are X-series
-    lifted = []
-    for g in base_factors:
-        lifted.append([_pad(ctx, [c], prec) for c in g])
+    lifted = [[_pad(ctx, [c], prec) for c in g] for g in base_factors]
 
     # partial-fraction solvers for the correction step
     w = []
@@ -541,9 +455,10 @@ def _hensel_find_factor(F: BiPoly, x0):
     # subset recombination; a true factor corresponds to a sub-product
     for size in range(1, r // 2 + 1):
         for S in itertools.combinations(range(r), size):
-            prod = _spoly_prod_many(ctx, [lifted[i] for i in S], prec)
-            cand_rows = [_ustrip(ctx, _series_mul(ctx, lc_series, s, prec)) for s in prod]
-            cand_rows = _primitive_y(ctx, cand_rows)
+            cand = [lc_series]
+            for i in S:
+                cand = _spoly_mul(ctx, cand, lifted[i], prec)
+            cand_rows = _primitive_y(ctx, [_ustrip(ctx, s) for s in cand])
             C = BiPoly.from_y_view(ctx, cand_rows)
             if C.is_constant():
                 continue

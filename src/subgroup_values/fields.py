@@ -223,6 +223,8 @@ class FieldCtx:
         if e < 0:
             a = self.rinv(a)
             e = -e
+        if self.t == 1:
+            return pow(a, e, self.p)
         result = self.one_raw
         base = a
         while e:

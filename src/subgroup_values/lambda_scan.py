@@ -38,10 +38,10 @@ count among the fibers whose rootless part has degree ≤ 3. Over F_p the
 O(p) passes work on the whole field at once: the ratio table evaluates f
 and g on every point with one list per Horner step and inverts through a
 table of all inverses, and the fiber table and the sieve walk the field as
-plain ints. The sieve's products λ·r, and the polynomial, modular-power and
-series kernels that the factorizations and Hensel lifting call, branch once
-on ctx.t and run plain int arithmetic mod p; scans over F_{p^t}, t > 1,
-keep the generic loops of the FieldCtx methods.
+plain ints. The sieve's products λ·r, the polynomial and modular-power
+kernels, the one series product `_spoly_coef` of the Hensel lift and
+FieldCtx.rpow branch once on ctx.t and run plain int arithmetic mod p;
+scans over F_{p^t}, t > 1, keep the generic loops of the FieldCtx methods.
 """
 
 import itertools
@@ -166,8 +166,7 @@ def _disc_is_square(ctx: FieldCtx, P) -> bool:
         acc = ctx.rmul(acc, B[0])
     if sign % 2:
         acc = ctx.rneg(acc)
-    half = (ctx.q - 1) // 2
-    return (pow(acc, half, ctx.p) if ctx.t == 1 else ctx.rpow(acc, half)) == ctx.one_raw
+    return ctx.rpow(acc, (ctx.q - 1) // 2) == ctx.one_raw
 
 
 def _fiber_table(ctx: FieldCtx, f, g, n: int, ratios) -> dict:

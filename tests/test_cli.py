@@ -235,6 +235,31 @@ def test_cli_sweep_parallel_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("cells, message", [
+    ([{"p": 31, "psi": "x^2+x", "H": 3}], "config cell 0 has no 'T'"),
+    ([{"p": 31, "psi": "x^2+x", "H": 3, "T": 5}, {"p": 31, "psi": "x^2+x", "H": "3", "T": 5}],
+     "config cell 1: 'H' must be an integer"),
+    ([5], "config cell 0 is not an object"),
+    ([{"p": True, "psi": "x^2+x", "H": 3, "T": 5}], "config cell 0: 'p' must be an integer"),
+    ([{"p": 31, "psi": 2, "H": 3, "T": 5}], "config cell 0: 'psi' must be a string"),
+    ([{"p": 31, "psi": "x^2+x", "H": 3, "T": 5, "u": 1.5}], "config cell 0: 'u' must be an integer"),
+])
+def test_cli_sweep_refuses_a_malformed_cell(tmp_path, capsys, cells, message):
+    config = tmp_path / "cells.json"
+    config.write_text(json.dumps(cells))
+    assert cmd_dispatch(["sweep", "--config", str(config)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("V, message", [
+    ("3/0,4", "zero denominator in '3/0' (at offset 0)"),
+    ("3, 4/0", "zero denominator in '4/0' (at offset 3)"),
+])
+def test_cli_lattice_find_refuses_a_zero_denominator(capsys, V, message):
+    assert cmd_dispatch(["lattice-find", "-p", "11", "--b", "1,5", "--V", V]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cli_lattice_find_worked_example():
     r = run_cli("lattice-find", "-p", "11", "--b", "1,5", "--V", "3,4", "--format", "json")
     assert r.returncode == 0

@@ -531,6 +531,22 @@ def test_embedding_roundtrip():
     assert emb.map_raw(src.rmul(a, b)) == dst.rmul(emb.map_raw(a), emb.map_raw(b))
 
 
+def test_descend_raw_returns_none_outside_the_image():
+    # F_9 sits in F_81 as the 9 roots of Z^9 - Z; a generator of F_81 over
+    # F_9, and every element off that subfield, has no preimage
+    src = ext_field_build(3, 2)
+    dst = ext_field_build(3, 4)
+    emb = get_embedding(src, dst)
+    gen = (0, 1, 0, 0)
+    assert dst.rpow(gen, 9) != gen
+    assert emb.descend_raw(gen) is None
+    image = {emb.map_raw(raw) for raw in src.elements()}
+    outside = [a for a in dst.elements() if a not in image]
+    assert len(image) == 9 and len(outside) == 72
+    assert all(emb.descend_raw(a) is None for a in outside)
+    assert all(dst.rpow(a, 9) != a for a in outside)
+
+
 def test_embed_unipoly_preserves_evaluation():
     src = FieldCtx(5)
     dst = ext_field_build(5, 2)

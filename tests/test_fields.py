@@ -194,3 +194,15 @@ def test_elements_order_is_ascending_key():
     els = list(ctx.elements())
     keys = [ctx.raw_key(e) for e in els]
     assert keys == sorted(keys) == list(range(9))
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 4294967291])
+def test_prime_field_power_is_pow(p):
+    ctx = FieldCtx(p)
+    for e in (-3, -1, 0, 1, p - 2, 2**40):
+        for a in {0, 1, 2 % p, p - 1, 12345 % p}:
+            if a == 0 and e < 0:
+                continue
+            assert ctx.rpow(a, e) == pow(a, e, p), (a, e)
+    with pytest.raises(ZeroInverse):
+        ctx.rpow(0, -1)

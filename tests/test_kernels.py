@@ -3,7 +3,9 @@
 The _ref_* functions are the field-generic loops of the polynomial, λ-scan
 and series-lifting layers, kept verbatim as the reference: every kernel must
 return the same list, element for element and stripped the same way, and
-raise the same exception.
+raise the same exception. The series layer has one product kernel,
+_spoly_coef; _spoly_mul builds its columns, and a one-row _spoly_mul is the
+truncated series product checked against _ref_series_mul.
 """
 
 import itertools
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subgroup_values.errors import SubgroupValuesError, ZeroPolynomial
-from subgroup_values.factorization import _series_mul, _spoly_coef, _spoly_mul, embed_unipoly
+from subgroup_values.factorization import _spoly_coef, _spoly_mul, embed_unipoly
 from subgroup_values.fields import FieldCtx, ext_field_build
 from subgroup_values.lambda_scan import _fiber_table, _ratio_table, _sieve
 from subgroup_values.parsing import parse_rational_expr
@@ -117,6 +119,11 @@ def _ref_sieve_settles(ctx, lam_raw, ratios, table, need_point):
 
 def _ref_sieve(ctx, lams, ratios, table, need_point):
     return [lam for lam in lams if not _ref_sieve_settles(ctx, lam, ratios, table, need_point)]
+
+
+def _series_mul(ctx, a, b, prec):
+    """The one-row product: a truncated series product through _spoly_mul."""
+    return _spoly_mul(ctx, [a], [b], prec)[0]
 
 
 def _outcome(fn, *args):

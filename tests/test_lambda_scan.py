@@ -484,7 +484,8 @@ def test_scan_instances_test_their_exceptional_lambdas_without_a_y_gcd(monkeypat
 def test_hensel_lift_extends_its_products_instead_of_rebuilding_them(monkeypatch):
     # The lift keeps running prefix products of its factors and extends them
     # by one X-coefficient per step; over the benchmark's scan instances every
-    # recombination subset is a single factor, so no full product is taken.
+    # recombination subset is a single factor, so the full products are the
+    # monic target and one candidate per lift.
     calls = {"_spoly_mul": 0, "_hensel_find_factor": 0}
     for name in calls:
         fn = getattr(factorization, name)
@@ -496,7 +497,7 @@ def test_hensel_lift_extends_its_products_instead_of_rebuilding_them(monkeypatch
         monkeypatch.setattr(factorization, name, counting)
     for expr, p in SCAN_INSTANCES:
         exceptional_lambdas(parse_rational_expr(expr, p), p)
-    assert calls == {"_spoly_mul": 0, "_hensel_find_factor": 9}
+    assert calls == {"_spoly_mul": 18, "_hensel_find_factor": 9}
 
 
 def _count_scan_work(monkeypatch, expr, p):

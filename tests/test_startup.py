@@ -22,8 +22,8 @@ HEAVY_STDLIB = ("concurrent.futures", "multiprocessing", "json", "csv", "fractio
 
 # the package's top-level API; each name must stay importable from the package
 PUBLIC_NAMES = {
-    "Interval", "Subgroup", "congruent_pairs", "count_value_set_intersection",
-    "count_values_in_subgroup", "integral_points_in_box", "shortest_covering_interval",
+    "Interval", "Subgroup", "congruent_pairs", "count_values_in_subgroup",
+    "integral_points_in_box", "shortest_covering_interval",
     "subgroup_of_order", "vinogradov_count",
     "FactorMultiset", "IrreducibilityVerdict", "embed_bipoly", "embed_unipoly",
     "extract_power_root", "factor_univariate", "find_proper_factor",
