@@ -5,7 +5,6 @@ power-sum solution counts, congruent pairs, and integer points in boxes.
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -33,8 +32,7 @@ def smallest_primitive_root(p: int) -> int:
     raise AssertionError("no primitive root found (p not prime?)")
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     """The unique subgroup {y : y^order = 1} of F_p*."""
 
     p: int
@@ -68,17 +66,37 @@ def subgroup_of_order(p: int, T: int) -> Subgroup:
     return sub
 
 
-@dataclass(frozen=True)
 class Interval:
     """The residues u+1, ..., u+H; with wrap=False they must stay below p."""
 
-    u: int
-    H: int
-    wrap: bool = False
+    __slots__ = ("u", "H", "wrap")
 
-    def __post_init__(self):
-        if self.H < 1:
-            raise PreconditionViolated(f"interval length {self.H} < 1")
+    def __init__(self, u: int, H: int, wrap: bool = False):
+        if H < 1:
+            raise PreconditionViolated(f"interval length {H} < 1")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "wrap", wrap)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return (self.u, self.H, self.wrap) == (other.u, other.H, other.wrap)
+
+    def __hash__(self):
+        return hash((self.u, self.H, self.wrap))
+
+    def __repr__(self):
+        return f"Interval(u={self.u!r}, H={self.H!r}, wrap={self.wrap!r})"
+
+    def __reduce__(self):
+        return Interval, (self.u, self.H, self.wrap)
 
     def xs(self, p: int):
         """The residues, as a range when wrap is off; a window that leaves

@@ -9,7 +9,6 @@ inverts with the polynomials._u* helpers over F_p, the one polynomial layer.
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     CtxMismatch,
@@ -281,10 +280,21 @@ class FieldCtx:
         return f"FieldCtx(F_{self.p}^{self.t})"
 
 
-@dataclass(frozen=True, slots=True)
 class FieldElem:
-    ctx: FieldCtx
-    raw: object
+    __slots__ = ("ctx", "raw")
+
+    def __init__(self, ctx: FieldCtx, raw):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "raw", raw)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return FieldElem, (self.ctx, self.raw)
 
     @property
     def coeffs(self) -> tuple:

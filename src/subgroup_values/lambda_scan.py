@@ -47,7 +47,7 @@ scans over F_{p^t}, t > 1, keep the generic loops of the FieldCtx methods.
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadRange,
@@ -116,15 +116,13 @@ def build_sym_poly(psi: RationalFunc, lam) -> BiPoly:
     return BiPoly(ctx, terms)
 
 
-@dataclass(frozen=True)
-class LambdaWitness:
+class LambdaWitness(NamedTuple):
     lam: FieldElem
     witness: BiPoly
     ext_degree: int  # extension degree over F_p of the witness's field
 
 
-@dataclass(frozen=True)
-class LambdaReport:
+class LambdaReport(NamedTuple):
     psi: RationalFunc
     scanned_field: FieldCtx
     exceptional: tuple

@@ -19,7 +19,6 @@ find_small_residue_multiplier), so there is no second search.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -63,19 +62,18 @@ def _gram_schmidt(cols):
     return d, lam
 
 
-@dataclass(frozen=True)
 class LatticeBasis:
     """Columns are linearly independent integer vectors of equal length.
 
     gso is their Gram-Schmidt state (d, lam) from _gram_schmidt, as tuples;
-    gram_det is d[-1].
+    gram_det is d[-1]. It is derived from cols, so equality, hash and repr
+    read cols alone.
     """
 
-    cols: tuple
-    gso: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("cols", "gso")
 
-    def __post_init__(self):
-        cols = tuple(tuple(int(x) for x in c) for c in self.cols)
+    def __init__(self, cols):
+        cols = tuple(tuple(int(x) for x in c) for c in cols)
         object.__setattr__(self, "cols", cols)
         if not cols:
             raise RankDeficient("empty basis")
@@ -86,6 +84,26 @@ class LatticeBasis:
             raise RankDeficient("more columns than ambient dimensions")
         d, lam = _gram_schmidt(cols)
         object.__setattr__(self, "gso", (tuple(d), tuple(map(tuple, lam))))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not LatticeBasis:
+            return NotImplemented
+        return self.cols == other.cols
+
+    def __hash__(self):
+        return hash(self.cols)
+
+    def __repr__(self):
+        return f"LatticeBasis(cols={self.cols!r})"
+
+    def __reduce__(self):
+        return LatticeBasis, (self.cols,)
 
     @property
     def gram_det(self) -> int:
@@ -260,26 +278,46 @@ def _floor_bound(v) -> int:
     return f.numerator // f.denominator
 
 
-@dataclass(frozen=True)
 class SmallResidueInstance:
     """Inputs of the small-residue multiplier problem: find v coprime to p with
     centered_residue(b_i * v) <= V_i for every i.
 
     floors holds W_i = floor(V_i), computed once; residues are integers, so
-    they meet V_i exactly when they meet W_i.
+    they meet V_i exactly when they meet W_i. It is derived from bounds, so
+    equality, hash and repr read p, b and bounds alone.
     """
 
-    p: int
-    b: tuple
-    bounds: tuple
-    floors: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("p", "b", "bounds", "floors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
-        object.__setattr__(self, "bounds", tuple(self.bounds))
-        if len(self.b) != len(self.bounds) or not self.b:
+    def __init__(self, p: int, b, bounds):
+        b = tuple(int(x) for x in b)
+        bounds = tuple(bounds)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "bounds", bounds)
+        if len(b) != len(bounds) or not b:
             raise ValueError("b and bounds must be nonempty and of equal length")
-        object.__setattr__(self, "floors", tuple(map(_floor_bound, self.bounds)))
+        object.__setattr__(self, "floors", tuple(map(_floor_bound, bounds)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not SmallResidueInstance:
+            return NotImplemented
+        return (self.p, self.b, self.bounds) == (other.p, other.b, other.bounds)
+
+    def __hash__(self):
+        return hash((self.p, self.b, self.bounds))
+
+    def __repr__(self):
+        return f"SmallResidueInstance(p={self.p!r}, b={self.b!r}, bounds={self.bounds!r})"
+
+    def __reduce__(self):
+        return SmallResidueInstance, (self.p, self.b, self.bounds)
 
     @property
     def s(self) -> int:
@@ -376,6 +414,12 @@ def find_small_residue_multiplier(inst: SmallResidueInstance) -> int:
     basis = _red_basis(p, [inst.b[i] * binv % p for i in perm], [W[i] for i in perm])
     c = shortest_vector_enum(basis)[-1] // (math.prod(W) // W[pivot])
     v = c * binv % p
+    # No instance that validate() accepts reaches this raise. Minkowski's
+    # theorem gives a lattice vector of infinity norm <= P, the enumeration
+    # is complete, so the shortest vector's norm is <= P too: every row says
+    # centered_residue(b_i c) <= W_i, and c is a unit mod p. So v passes
+    # satisfied_by. The raise guards the basis builder and the enumeration
+    # against a regression; it is not a search that can come up empty.
     if not inst.satisfied_by(v):
         raise MultiplierNotFound(
             f"no multiplier found for {inst!r}; this contradicts the construction"

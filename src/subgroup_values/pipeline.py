@@ -14,8 +14,8 @@ import math
 # module only when a pipeline name is first used, and a sweep's first
 # jobs > 1 call would otherwise pay the process pool's ~10 ms of imports.
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .counting import (
     Interval,
@@ -50,8 +50,7 @@ from .reporting import (
 from .surd import Surd
 
 
-@dataclass(frozen=True)
-class ExponentSet:
+class ExponentSet(NamedTuple):
     d: int
     e: int
     ell: int
@@ -83,8 +82,7 @@ def exponent_set(d: int, e: int) -> ExponentSet:
     )
 
 
-@dataclass(frozen=True)
-class SupportSet:
+class SupportSet(NamedTuple):
     ell: int
     m: int
     pairs: tuple
@@ -108,8 +106,7 @@ def support_set(ell: int, m: int) -> SupportSet:
     return SupportSet(ell=ell, m=m, pairs=pairs)
 
 
-@dataclass(frozen=True)
-class LevelSelection:
+class LevelSelection(NamedTuple):
     """Levels V_{i,j} with V_{i,j} H^(i+j) = U and prod V_{i,j} = 2 p^(s-1).
 
     A single level family; no per-multiplier variant exists. All members are
@@ -189,8 +186,7 @@ def reduce_perfect_power(psi: RationalFunc, T: int):
     return extract_power_root(psi, n), n * T
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+class ProofTrace(NamedTuple):
     p: int
     psi: RationalFunc
     H: int

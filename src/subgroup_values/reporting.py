@@ -3,8 +3,8 @@
 import csv
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 CSV_HEADER = ["p", "d", "e", "H", "T", "u", "N", "bound", "ratio", "lambda_count", "status", "error"]
 
@@ -14,8 +14,7 @@ STATUS_PERFECT_POWER = "perfect-power"
 STATUS_ERROR = "error"
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     p: int
     d: int | None
     e: int | None

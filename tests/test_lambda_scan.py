@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from subgroup_values import factorization, lambda_scan
 from subgroup_values.errors import (
+    BadRange,
     DegreeOutOfRange,
     DegreeTooSmall,
     PerfectPowerInput,
@@ -110,6 +111,12 @@ def test_exceptional_lambdas_rejects_degree_one():
     psi = R(F7, [1, 1])
     with pytest.raises(DegreeTooSmall):
         exceptional_lambdas(psi, 7)
+
+
+def test_exceptional_lambdas_rejects_a_p_other_than_psis_prime():
+    psi = R(F7, [0, 1, 1])
+    with pytest.raises(BadRange, match="disagrees with ψ's field"):
+        exceptional_lambdas(psi, 5)
 
 
 def test_lambda_one_is_always_exceptional():

@@ -26,7 +26,7 @@ from subgroup_values.errors import (
     SubgroupValuesError,
     WindowEmpty,
 )
-from subgroup_values.fields import FieldCtx, is_prime, prime_factors
+from subgroup_values.fields import FieldCtx, ext_field_build, is_prime, prime_factors
 from subgroup_values.lambda_scan import exceptional_lambdas
 from subgroup_values.parsing import parse_rational_expr
 from subgroup_values.polynomials import RationalFunc, UniPoly, rational_normalize
@@ -194,6 +194,21 @@ def test_trace_proof_rejects_perfect_power():
     psi = parse_rational_expr("x^2", 31)
     with pytest.raises(PerfectPowerInput):
         trace_proof(psi, 31, 3, 5)
+
+
+def test_trace_proof_rejects_psi_over_another_field():
+    with pytest.raises(PreconditionViolated, match="must live over F_p"):
+        trace_proof(parse_rational_expr("x^2+x", 29), 31, 3, 5)
+    F49 = ext_field_build(7, 2)
+    psi = RationalFunc(UniPoly(F49, ((0, 0), (1, 0), (1, 0))), UniPoly(F49, ((1, 0),)))
+    with pytest.raises(PreconditionViolated, match="must live over F_p"):
+        trace_proof(psi, 7, 3, 3)
+
+
+def test_trace_proof_rejects_a_constant_psi():
+    for text in ("5", "0"):
+        with pytest.raises(DegenerateDegrees, match="nonconstant"):
+            trace_proof(parse_rational_expr(text, 31), 31, 3, 5)
 
 
 def test_trace_proof_window_empty_matches_level_check():

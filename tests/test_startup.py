@@ -62,6 +62,18 @@ def test_import_loads_only_the_algebra_core():
     assert r.stdout.strip() == "[]"
 
 
+def test_no_layer_loads_dataclasses_or_inspect():
+    # the records are written out, so no module generates code at import
+    r = _python("-c", (
+        "import importlib, sys\n"
+        "import subgroup_values\n"
+        f"for m in {DEFERRED_MODULES!r}:\n"
+        "    importlib.import_module('subgroup_values.' + m)\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    ))
+    assert r.stdout.strip() == "[]"
+
+
 def _imported_by_cli(*argv):
     """Modules a `python -m subgroup_values` run imports, read off -X importtime."""
     r = _python("-X", "importtime", "-m", "subgroup_values", *argv)
