@@ -9,13 +9,16 @@ a full proof trace replays and verifies.
 Importing the package loads only the algebra core (errors, fields,
 polynomials, factorization, parsing, lambda_scan), which needs nothing beyond
 math, itertools, functools, operator, random, collections and typing, so a
-λ-scan pays only for what it runs. Its records are NamedTuples or slotted
-classes with written-out methods, so no class generates code at import. The
-other layers bring heavier parts of the standard library: the process pool
-with pipeline, json and csv with reporting, fractions and decimal with
-lattices and surd. They are imported when one of their names in _DEFERRED,
-or the module itself, is first read (PEP 562); each name is the same object
-as the submodule's attribute.
+λ-scan pays only for what it runs. Its records are NamedTuples, each of
+which compiles one small __new__ at import, except two slotted classes that
+write out their frozen methods: FieldElem, which a tuple base would give +,
+len and repetition, and SmallResidueInstance, whose derived floors a tuple
+could not keep out of equality and repr. The other layers bring heavier
+parts of the standard library: the process pool with pipeline, json and csv
+with reporting, fractions and decimal with lattices and surd. They are
+imported when one of their names in _DEFERRED, or the module itself, is
+first read (PEP 562); each name is the same object as the submodule's
+attribute.
 """
 
 from .factorization import (

@@ -66,37 +66,20 @@ def subgroup_of_order(p: int, T: int) -> Subgroup:
     return sub
 
 
-class Interval:
+class Interval(NamedTuple("Interval", [("u", int), ("H", int), ("wrap", bool)])):
     """The residues u+1, ..., u+H; with wrap=False they must stay below p."""
 
-    __slots__ = ("u", "H", "wrap")
+    __slots__ = ()
 
-    def __init__(self, u: int, H: int, wrap: bool = False):
+    def __new__(cls, u: int, H: int, wrap: bool = False):
         if H < 1:
             raise PreconditionViolated(f"interval length {H} < 1")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "wrap", wrap)
+        return super().__new__(cls, u, H, wrap)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not Interval:
-            return NotImplemented
-        return (self.u, self.H, self.wrap) == (other.u, other.H, other.wrap)
-
-    def __hash__(self):
-        return hash((self.u, self.H, self.wrap))
-
-    def __repr__(self):
-        return f"Interval(u={self.u!r}, H={self.H!r}, wrap={self.wrap!r})"
-
-    def __reduce__(self):
-        return Interval, (self.u, self.H, self.wrap)
+    @classmethod
+    def _make(cls, iterable):
+        # the tuple base's _make (and _replace through it) would skip __new__
+        return cls(*iterable)
 
     def xs(self, p: int):
         """The residues, as a range when wrap is off; a window that leaves

@@ -626,42 +626,24 @@ def is_irreducible_bivariate(F: BiPoly) -> bool:
     return find_proper_factor(F) is None
 
 
-class IrreducibilityVerdict:
-    __slots__ = ("over_base", "absolutely", "witness", "witness_ext")
+class IrreducibilityVerdict(NamedTuple("IrreducibilityVerdict", [
+    ("over_base", bool), ("absolutely", bool), ("witness", BiPoly | None),
+    ("witness_ext", int | None),
+])):
+    """witness_ext: extension degree over F_p of the witness's field."""
 
-    # witness_ext: extension degree over F_p of the witness's field
-    def __init__(self, over_base: bool, absolutely: bool, witness: BiPoly | None,
-                 witness_ext: int | None):
+    __slots__ = ()
+
+    def __new__(cls, over_base: bool, absolutely: bool, witness: BiPoly | None,
+                witness_ext: int | None):
         assert over_base or not absolutely
         assert (witness is not None) == (not absolutely)
-        object.__setattr__(self, "over_base", over_base)
-        object.__setattr__(self, "absolutely", absolutely)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "witness_ext", witness_ext)
+        return super().__new__(cls, over_base, absolutely, witness, witness_ext)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not IrreducibilityVerdict:
-            return NotImplemented
-        return (self.over_base, self.absolutely, self.witness, self.witness_ext) == (
-            other.over_base, other.absolutely, other.witness, other.witness_ext)
-
-    def __hash__(self):
-        return hash((self.over_base, self.absolutely, self.witness, self.witness_ext))
-
-    def __repr__(self):
-        return (f"IrreducibilityVerdict(over_base={self.over_base!r}, "
-                f"absolutely={self.absolutely!r}, witness={self.witness!r}, "
-                f"witness_ext={self.witness_ext!r})")
-
-    def __reduce__(self):
-        return IrreducibilityVerdict, (
-            self.over_base, self.absolutely, self.witness, self.witness_ext)
+    @classmethod
+    def _make(cls, iterable):
+        # the tuple base's _make (and _replace through it) would skip __new__
+        return cls(*iterable)
 
 
 # Fibers X = x0 the rational-point certificate tries, per unit of total degree.

@@ -281,6 +281,12 @@ class FieldCtx:
 
 
 class FieldElem:
+    """An element of the field ctx, held as its raw representation.
+
+    A slotted class, not a NamedTuple: a tuple base would give it +, len and
+    3 * e repetition.
+    """
+
     __slots__ = ("ctx", "raw")
 
     def __init__(self, ctx: FieldCtx, raw):

@@ -20,6 +20,7 @@ find_small_residue_multiplier), so there is no second search.
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     MultiplierNotFound,
@@ -62,19 +63,19 @@ def _gram_schmidt(cols):
     return d, lam
 
 
-class LatticeBasis:
+class LatticeBasis(NamedTuple("LatticeBasis", [("cols", tuple)])):
     """Columns are linearly independent integer vectors of equal length.
 
-    gso is their Gram-Schmidt state (d, lam) from _gram_schmidt, as tuples;
-    gram_det is d[-1]. It is derived from cols, so equality, hash and repr
-    read cols alone.
+    Construction checks the shape and runs _gram_schmidt once for the rank.
+    gso is their Gram-Schmidt state (d, lam) as tuples, computed from cols
+    on each read, and gram_det is d[-1]. The routines here read the state
+    that _lll_reduce returns instead, so they compute it once per basis.
     """
 
-    __slots__ = ("cols", "gso")
+    __slots__ = ()
 
-    def __init__(self, cols):
+    def __new__(cls, cols):
         cols = tuple(tuple(int(x) for x in c) for c in cols)
-        object.__setattr__(self, "cols", cols)
         if not cols:
             raise RankDeficient("empty basis")
         dims = {len(c) for c in cols}
@@ -82,28 +83,18 @@ class LatticeBasis:
             raise ValueError("columns of unequal length")
         if len(cols) > len(cols[0]):
             raise RankDeficient("more columns than ambient dimensions")
-        d, lam = _gram_schmidt(cols)
-        object.__setattr__(self, "gso", (tuple(d), tuple(map(tuple, lam))))
+        _gram_schmidt(cols)
+        return super().__new__(cls, cols)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    @classmethod
+    def _make(cls, iterable):
+        # the tuple base's _make (and _replace through it) would skip __new__
+        return cls(*iterable)
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not LatticeBasis:
-            return NotImplemented
-        return self.cols == other.cols
-
-    def __hash__(self):
-        return hash(self.cols)
-
-    def __repr__(self):
-        return f"LatticeBasis(cols={self.cols!r})"
-
-    def __reduce__(self):
-        return LatticeBasis, (self.cols,)
+    @property
+    def gso(self) -> tuple:
+        d, lam = _gram_schmidt(self.cols)
+        return tuple(d), tuple(map(tuple, lam))
 
     @property
     def gram_det(self) -> int:
@@ -138,12 +129,14 @@ def _lll_reduce(B: LatticeBasis):
     Algebraic Number Theory, Alg. 2.6.7).
 
     Returns (reduced, d, lam): a basis of the same lattice and its
-    Gram-Schmidt state. It starts from a copy of B's state (d, lam) and
-    updates it in place on every size reduction and swap.
+    Gram-Schmidt state. It computes the state (d, lam) of B's columns, which
+    raises RankDeficient on a dependent column, and updates it in place on
+    every size reduction and swap. No step changes d[n], the Gram
+    determinant of the lattice.
     """
     n = B.rank
     b = [list(c) for c in B.cols]
-    d, lam = list(B.gso[0]), [list(r) for r in B.gso[1]]
+    d, lam = _gram_schmidt(B.cols)
     k = 1
     steps = 0
     while k < n:
@@ -249,7 +242,7 @@ def shortest_vector_enum(B: LatticeBasis) -> tuple:
     if B.rank > MAX_ENUM_DIM:
         raise SearchSpaceTooLarge(f"rank {B.rank} exceeds the enumeration cap {MAX_ENUM_DIM}")
     reduced, d, lam = _lll_reduce(B)
-    bound = iroot(B.gram_det, 2 * B.rank)  # floor(vol^(1/rank))
+    bound = iroot(d[-1], 2 * B.rank)  # floor(vol^(1/rank))
     bound = max(bound, 1)
     bound = min(bound, min(max(abs(x) for x in col) for col in reduced))
     raw = _enumerate_ball(reduced, d, lam, bound)
@@ -284,7 +277,9 @@ class SmallResidueInstance:
 
     floors holds W_i = floor(V_i), computed once; residues are integers, so
     they meet V_i exactly when they meet W_i. It is derived from bounds, so
-    equality, hash and repr read p, b and bounds alone.
+    equality, hash and repr read p, b and bounds alone. That is why this is a
+    slotted class and not a NamedTuple: a tuple cannot hold a value that is
+    left out of its equality and repr.
     """
 
     __slots__ = ("p", "b", "bounds", "floors")
@@ -374,7 +369,9 @@ def build_red_basis(inst: SmallResidueInstance) -> LatticeBasis:
 
 def _red_basis(p: int, nb, W) -> LatticeBasis:
     """build_red_basis for normalized residues nb (nb[0] = 1) and floored
-    bounds W, without validation."""
+    bounds W, without validation. The columns are independent by
+    construction, so the basis skips LatticeBasis's rank check; _lll_reduce
+    still raises RankDeficient on a dependent one."""
     s = len(W)
     P = math.prod(W)
     cols = [[0] * s for _ in range(s)]
@@ -383,7 +380,7 @@ def _red_basis(p: int, nb, W) -> LatticeBasis:
         cols[0][r] = nb[i - 1] * P // W[i - 1]
         if i >= 2:
             cols[i - 1][r] = p * P // W[i - 1]
-    return LatticeBasis(cols)
+    return tuple.__new__(LatticeBasis, (tuple(map(tuple, cols)),))
 
 
 def find_small_residue_multiplier(inst: SmallResidueInstance) -> int:

@@ -82,7 +82,17 @@ class Surd:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.radicand, self.index))
+        # Equal values hash alike: the smallest n with value^n rational is
+        # index / e for the largest divisor e of the index whose e-th roots of
+        # numerator and denominator are exact; n = 1 hashes as the Fraction.
+        a, b, k = self.radicand.numerator, self.radicand.denominator, self.index
+        for e in range(k, 0, -1):
+            if k % e == 0:
+                ra, rb = iroot(a, e), iroot(b, e)
+                if ra**e == a and rb**e == b:
+                    break
+        r = Fraction(ra, rb)
+        return hash(r) if e == k else hash((r, k // e))
 
     def floor(self) -> int:
         # k^n <= r iff k^n <= floor(r), as k^n is an integer

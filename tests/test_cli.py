@@ -260,6 +260,12 @@ def test_cli_lattice_find_refuses_a_zero_denominator(capsys, V, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_cli_count_refuses_an_unexpected_character(capsys):
+    argv = ["count", "--psi", "x^2+@", "-p", "31", "-T", "5", "--interval", "1..3"]
+    assert cmd_dispatch(argv) == 1
+    assert capsys.readouterr() == ("", "error: unexpected character '@' (at offset 4)\n")
+
+
 def test_cli_lattice_find_worked_example():
     r = run_cli("lattice-find", "-p", "11", "--b", "1,5", "--V", "3,4", "--format", "json")
     assert r.returncode == 0

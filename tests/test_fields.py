@@ -9,18 +9,23 @@ from subgroup_values.errors import (
     DegreeTooLarge,
     NonInvertible,
     NotPrime,
+    ParseError,
+    PrimeTooLarge,
     ZeroInverse,
 )
 from subgroup_values.fields import (
     FieldCtx,
     centered_residue,
+    check_prime,
     ext_field_build,
     is_prime,
     mod_inverse,
     signed_residue,
 )
 from subgroup_values.factorization import factor_univariate
+from subgroup_values.parsing import parse_poly_expr
 from subgroup_values.polynomials import UniPoly
+from subgroup_values.surd import Surd, iroot
 
 
 def test_mod_inverse_examples():
@@ -206,3 +211,26 @@ def test_prime_field_power_is_pow(p):
             assert ctx.rpow(a, e) == pow(a, e, p), (a, e)
     with pytest.raises(ZeroInverse):
         ctx.rpow(0, -1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: parse_poly_expr("x^2+@", 31), ParseError, "unexpected character '@' (at offset 4)"),
+    # 2^32 + 15, the first prime past the cap
+    (lambda: check_prime(4294967311), PrimeTooLarge,
+     "p = 4294967311 exceeds the 2^32 desk-scale cap"),
+    (lambda: FieldCtx(7, 0), DegreeTooLarge, "extension degree must be in 1..12, got 0"),
+    (lambda: FieldCtx(7, 13), DegreeTooLarge, "extension degree must be in 1..12, got 13"),
+    (lambda: FieldCtx(7, 1, (1, 1)), ValueError, "a prime field takes no modulus"),
+    (lambda: FieldCtx(7, 2), ValueError, "an extension field needs a modulus; use ext_field_build"),
+    (lambda: Surd(-1), ValueError, "radicand must be nonnegative"),
+    (lambda: Surd(2, 0), ValueError, "index must be >= 1"),
+    (lambda: iroot(-8, 3), ValueError, "negative radicand"),
+], ids=[
+    "tokenize", "prime-cap", "degree-0", "degree-13", "prime-modulus", "no-modulus",
+    "surd-radicand", "surd-index", "iroot-radicand",
+])
+def test_inputs_outside_the_limits_are_refused(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message

@@ -466,7 +466,8 @@ def test_multiplier_at_a_million_returns_quickly(budget):
 
 
 def test_multiplier_computes_the_gram_schmidt_state_once(monkeypatch):
-    # LLL starts from a copy of the state the basis computed, not a fresh one.
+    # The multiplier's basis skips the constructor's rank check, so LLL's own
+    # Gram-Schmidt pass is the only one.
     calls = []
     gram_schmidt = lattices._gram_schmidt
 

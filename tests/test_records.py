@@ -1,4 +1,4 @@
-"""The contract of the package's 14 frozen records.
+"""The contract of the package's 16 frozen records.
 
 Each record constructs positionally and by keyword, compares and hashes by
 its fields, prints the repr the command line and the error messages show,
@@ -7,12 +7,23 @@ process pool). Derived fields (LatticeBasis.gso, SmallResidueInstance.floors)
 stay out of equality and repr.
 """
 
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
-from subgroup_values.counting import Interval, Subgroup, subgroup_of_order
+import subgroup_values
+from subgroup_values.counting import (
+    BoxPointCount,
+    Interval,
+    Subgroup,
+    SubgroupCount,
+    count_values_in_subgroup,
+    integral_points_in_box,
+    subgroup_of_order,
+)
 from subgroup_values.errors import PreconditionViolated, RankDeficient
 from subgroup_values.factorization import (
     FactorMultiset,
@@ -69,6 +80,16 @@ CASES = {
     ),
     Subgroup: (("p", "order", "generator"), subgroup_of_order(7, 3), subgroup_of_order(7, 2)),
     Interval: (("u", "H", "wrap"), Interval(0, 3), Interval(0, 3, True)),
+    SubgroupCount: (
+        ("count", "witnesses"),
+        count_values_in_subgroup(PSI7, Interval(0, 3), subgroup_of_order(7, 3)),
+        count_values_in_subgroup(PSI7, Interval(0, 6), subgroup_of_order(7, 3)),
+    ),
+    BoxPointCount: (
+        ("count", "curve_degree", "h_root", "reference"),
+        integral_points_in_box({(1, 0): 1, (0, 1): -1}, 3),
+        integral_points_in_box({(2, 0): 1, (0, 1): -1}, 3),
+    ),
     ExponentSet: (
         ("d", "e", "ell", "m", "k", "s", "theta", "rho", "tau"),
         exponent_set(1, 2),
@@ -129,6 +150,8 @@ REPRS = {
     ),
     Subgroup: "Subgroup(p=7, order=3, generator=2)",
     Interval: "Interval(u=0, H=3, wrap=False)",
+    SubgroupCount: "SubgroupCount(count=1, witnesses=(1,))",
+    BoxPointCount: "BoxPointCount(count=4, curve_degree=1, h_root=None, reference=None)",
     ExponentSet: (
         "ExponentSet(d=1, e=2, ell=1, m=2, k=14, s=7, theta=Fraction(1, 14), "
         "rho=Fraction(1, 1), tau=Fraction(1, 6))"
@@ -247,5 +270,36 @@ def test_validation_still_refuses():
         LatticeBasis(())
     with pytest.raises(ValueError):
         SmallResidueInstance(11, (1, 5), (3,))
+    # _make, and _replace through it, go through the same checks
+    with pytest.raises(PreconditionViolated):
+        Interval(0, 3)._replace(H=0)
+    with pytest.raises(AssertionError):
+        IrreducibilityVerdict._make((False, True, None, None))
+    with pytest.raises(RankDeficient):
+        CASES[LatticeBasis][1]._replace(cols=((1, 2), (2, 4)))
     assert LatticeBasis([[2, 0], [1, 3]]).cols == ((2, 0), (1, 3))
     assert SmallResidueInstance(11, [1, 5], [Fraction(7, 2), 4]).b == (1, 5)
+
+
+def _package_classes():
+    for info in pkgutil.iter_modules(subgroup_values.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"subgroup_values.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                yield obj
+
+
+def test_every_record_is_covered():
+    # a record is a tuple with _fields or a class that guards its own __setattr__
+    records = {
+        cls for cls in _package_classes()
+        if (issubclass(cls, tuple) and hasattr(cls, "_fields")) or "__setattr__" in vars(cls)
+    }
+    assert records - set(CASES) == set()
+    # only the two records that cannot be tuples write out their frozen methods
+    written = {
+        cls for cls in records if {"__setattr__", "__delattr__", "__reduce__"} & set(vars(cls))
+    }
+    assert written == {FieldElem, SmallResidueInstance}

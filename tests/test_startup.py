@@ -63,7 +63,7 @@ def test_import_loads_only_the_algebra_core():
 
 
 def test_no_layer_loads_dataclasses_or_inspect():
-    # the records are written out, so no module generates code at import
+    # no record is a dataclass, so nothing imports dataclasses or inspect
     r = _python("-c", (
         "import importlib, sys\n"
         "import subgroup_values\n"

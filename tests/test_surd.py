@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from subgroup_values.lattices import SmallResidueInstance
 from subgroup_values.surd import Surd, iroot
 
 
@@ -49,6 +50,32 @@ def test_huge_roots_return_quickly(budget):
 def test_iroot_is_the_floor_root(n, k):
     a = iroot(n, k)
     assert a**k <= n < (a + 1) ** k
+
+
+@pytest.mark.parametrize("x, y", [
+    (Surd(4, 2), 2),
+    (Surd(4, 2), Surd(2)),
+    (Surd(8, 6), Surd(2, 2)),
+    (Surd(Fraction(1, 4), 2), 0.5),
+    (Surd(Fraction(27, 8), 6), Surd(Fraction(3, 2), 2)),
+    (Surd(0, 3), 0),
+    (SmallResidueInstance(11, (1, 5), (3, Surd(9, 2))),
+     SmallResidueInstance(11, (1, 5), (Surd(27, 3), 3))),
+])
+def test_equal_values_hash_alike(x, y):
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y}) == 1
+
+
+@given(
+    r=st.fractions(0, 10**4, max_denominator=100),
+    n=st.integers(1, 5),
+    m=st.integers(1, 4),
+)
+def test_hash_follows_the_value(r, n, m):
+    x = Surd(r, n)
+    assert hash(Surd(r**m, n * m)) == hash(x)
+    assert hash(Surd(r**n, n)) == hash(r)
 
 
 def test_irrational_as_fraction_raises():
