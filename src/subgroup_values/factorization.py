@@ -190,8 +190,6 @@ class FactorMultiset(NamedTuple):
 def factor_univariate(f: UniPoly) -> FactorMultiset:
     """Complete factorization into monic irreducibles, deterministically ordered."""
     ctx = f.ctx
-    if f.is_zero():
-        raise ZeroPolynomial("cannot factor the zero polynomial")
     unit, pairs = _u_factor(ctx, list(f.coeffs))
     return FactorMultiset(
         unit=FieldElem(ctx, unit),
@@ -497,6 +495,23 @@ def _good_point(F: BiPoly):
     return None
 
 
+def _origin_line(F: BiPoly):
+    """Y - aX when deg_y F >= 2, F(0, 0) = 0 and F(X, aX) = 0 for the slope
+    a = -F_X(0, 0)/F_Y(0, 0), else None. Precondition: F(0, Y) is a
+    squarefree fiber of full degree, so F_Y(0, 0) != 0 once F(0, 0) = 0."""
+    ctx = F.ctx
+    terms = F.terms
+    if F.deg_y < 2 or (0, 0) in terms:
+        return None
+    a = ctx.rneg(ctx.rmul(terms.get((1, 0), ctx.zero_raw), ctx.rinv(terms[(0, 1)])))
+    on_line = {}
+    for (i, j), c in terms.items():
+        on_line[i + j] = ctx.radd(on_line.get(i + j, ctx.zero_raw), ctx.rmul(c, ctx.rpow(a, j)))
+    if any(not ctx.is_zero_raw(v) for v in on_line.values()):
+        return None
+    return BiPoly(ctx, {(0, 1): ctx.one_raw, (1, 0): ctx.rneg(a)})
+
+
 def _complete_squarefree_factorization(F: BiPoly):
     """All irreducible factors (grlex-monic) of a squarefree primitive F."""
     w = find_proper_factor(F)
@@ -573,6 +588,24 @@ def find_proper_factor(F: BiPoly):
     no good point is found; if it then finds Y-degree 0, the field has fewer
     than 2·deg_x·deg_y + 1 elements (see `_good_point`) and the search moves
     to an extension.
+
+    When the good point is x0 = 0, one rule names the lift's first candidate
+    without lifting (`_origin_line`): if deg_y >= 2, F(0, 0) = 0 and
+    F(X, aX) = 0 for a = -F_X(0, 0)/F_Y(0, 0), the answer is Y - aX, exactly
+    what `_hensel_find_factor(F, 0)` returns. The proof:
+    - the fiber F(0, Y) is squarefree and has the root 0, so F_Y(0, 0) != 0
+      and a is defined;
+    - its factor Y has sort key (2, (0, 1)), the smallest possible, so the
+      lift tries it first, as the subset (0,);
+    - Hensel lifts are unique, and Y - aX divides F (it is monic in Y and
+      F(X, aX) = 0), so the lift of Y is the one factor of F over F_q[[X]]
+      through (0, 0), Y - aX;
+    - lc_Y(F)·(Y - aX) has X-degree at most deg_x + 1 < 2·deg_x + 1, the
+      lift's precision, so `_primitive_y` gives back Y - aX, and it divides F;
+    - deg_y >= 2 gives the fiber a second factor, so the lift recombines;
+      with the one base factor Y, as for F = X - Y, it returns None.
+    A λ-scan's λ = 1 meets the rule whenever x0 = 0 is its good point, as
+    X - Y divides F_1.
     """
     ctx = F.ctx
     if F.is_zero():
@@ -603,7 +636,8 @@ def find_proper_factor(F: BiPoly):
         )
     x0 = _good_point(F)
     if x0 is not None:
-        return _hensel_find_factor(F, x0)
+        line = _origin_line(F) if ctx.is_zero_raw(x0) else None
+        return line if line is not None else _hensel_find_factor(F, x0)
     g = _gcd_y(F, FY)
     if g.deg_y >= 1:
         return g
@@ -636,8 +670,9 @@ class IrreducibilityVerdict(NamedTuple("IrreducibilityVerdict", [
 
     def __new__(cls, over_base: bool, absolutely: bool, witness: BiPoly | None,
                 witness_ext: int | None):
-        assert over_base or not absolutely
-        assert (witness is not None) == (not absolutely)
+        # raised, not asserted, so the checks hold under python -O too
+        if absolutely and not over_base or (witness is not None) == absolutely:
+            raise AssertionError
         return super().__new__(cls, over_base, absolutely, witness, witness_ext)
 
     @classmethod

@@ -28,7 +28,9 @@ of c vanish, which coprime f, g rule out. The second is a smooth rational
 point, which certifies absolute irreducibility. Every other λ, every
 exceptional one among them, goes to `is_absolutely_irreducible`, whose
 verdict and witness are the reported ones; λ = 1 goes there without the
-sieve, as X - Y divides F_1 and leaves a root on every fiber.
+sieve, as X - Y divides F_1 and leaves a root on every fiber. Whenever
+f(0)g(Y) - g(0)f(Y) is squarefree of degree deg_Y F_1, the engine returns
+that witness, Y - X, from the line through the origin without a Hensel lift.
 F_λ itself is built only for those λ and for the degree checks: its degrees
 are deg_x = deg_y = n and total degree deg f + deg g for every λ except
 λ = 1 when deg f = deg g.
@@ -383,7 +385,8 @@ def exceptional_lambdas(psi: RationalFunc, p: int | None = None, max_ext: int = 
             wctx = witness.ctx
             sym_up = sym if wctx == sym.ctx else embed_bipoly(sym, wctx)
             cof = sym_up.try_divide(witness)
-            assert cof is not None and cof * witness == sym_up, "witness failed re-verification"
+            if cof is None or cof * witness != sym_up:
+                raise AssertionError("witness failed re-verification")
             found.append(LambdaWitness(FieldElem(ctx_t, raw), witness, verdict.witness_ext))
         del table, ratios
     return LambdaReport(

@@ -3,12 +3,14 @@ import math
 import random
 
 import pytest
+from test_lambda_scan import ORACLE_MAPS
 
 from subgroup_values import factorization
 from subgroup_values.errors import (
     CharTooSmall,
     ConstantFunction,
     DegreeOutOfRange,
+    DegreeTooLarge,
     ZeroPolynomial,
 )
 from subgroup_values.factorization import (
@@ -24,7 +26,7 @@ from subgroup_values.factorization import (
     perfect_power_exponent,
     extract_power_root,
 )
-from subgroup_values.fields import FieldCtx, ext_field_build, is_prime, prime_factors
+from subgroup_values.fields import FieldCtx, FieldElem, ext_field_build, is_prime, prime_factors
 from subgroup_values.lambda_scan import build_sym_poly
 from subgroup_values.parsing import parse_rational_expr
 from subgroup_values.polynomials import BiPoly, UniPoly, poly_gcd, rational_normalize
@@ -198,6 +200,21 @@ def test_is_irreducible_bivariate_validation():
         is_irreducible_bivariate(B(F7, {(9, 0): 1}))
     with pytest.raises(CharTooSmall):
         is_irreducible_bivariate(B(F5, {(5, 0): 1, (0, 1): 1}))
+
+
+def test_bivariate_refusals():
+    with pytest.raises(ZeroPolynomial):
+        find_proper_factor(B(F7, {}))
+    assert find_proper_factor(B(F7, {(0, 0): 3})) is None
+    with pytest.raises(ZeroPolynomial):
+        is_absolutely_irreducible(B(F7, {}))
+    # X^2 - 2Y^2 over F_{3^7}: 2 = -1 is not a square there, so the curve is
+    # irreducible over the field with no smooth rational point, and its
+    # conjugate lines need F_{3^14}
+    ctx = ext_field_build(3, 7)
+    assert ctx.rpow(ctx.from_int(2), (ctx.q - 1) // 2) != ctx.one_raw
+    with pytest.raises(DegreeTooLarge, match=r"absolute test needs F_\{p\^14\}, beyond the degree cap"):
+        is_absolutely_irreducible(B(ctx, {(2, 0): 1, (0, 2): -2}))
 
 
 def test_find_proper_factor_refuses_vanishing_f_y():
@@ -517,6 +534,100 @@ def test_repeated_factor_comes_from_the_y_gcd_when_no_fiber_is_squarefree(monkey
     assert len(gcds) == 1 and w == gcds[0]
     assert w.grlex_monic() == A.grlex_monic()
     assert F.try_divide(w) is not None
+
+
+def _with_and_without_origin_line(monkeypatch, polys):
+    """find_proper_factor and is_absolutely_irreducible outcomes with the
+    origin-line rule and with the rule returning None, for each poly whose
+    outcomes the rule answered somewhere (where it returned None every time,
+    the two runs are the same run), and the set of polys it answered itself."""
+    answered, fired = [], set()
+    line = factorization._origin_line
+
+    def counted(F):
+        w = line(F)
+        if w is not None:
+            answered.append(F)
+        return w
+
+    def outcomes(F):
+        return _pin_outcome(find_proper_factor, F), _pin_outcome(is_absolutely_irreducible, F)
+
+    on = {}
+    with monkeypatch.context() as m:
+        m.setattr(factorization, "_origin_line", counted)
+        for F in polys:
+            answered.clear()
+            got = outcomes(F)
+            if answered:
+                on[F] = got
+            if F in answered:
+                fired.add(F)
+    with monkeypatch.context() as m:
+        m.setattr(factorization, "_origin_line", lambda F: None)
+        return on, {F: outcomes(F) for F in on}, fired
+
+
+def test_origin_line_names_the_factor_the_lift_would_find(monkeypatch):
+    # every F_λ of the oracle maps over F_p and F_{p^2}; the rule answers
+    # λ = 1 whenever f(0)g(Y) - g(0)f(Y) is squarefree of full degree
+    polys = []
+    for p in filter(is_prime, range(7, 62)):
+        for expr in ORACLE_MAPS:
+            psi = parse_rational_expr(expr, p)
+            polys += [build_sym_poly(psi, lam) for lam in range(1, p)]
+    for p in (5, 7):
+        ctx = ext_field_build(p, 2)
+        for expr in ORACLE_MAPS:
+            psi = parse_rational_expr(expr, p)
+            if p > psi.num.degree + psi.den.degree:
+                polys += [build_sym_poly(psi, FieldElem(ctx, raw))
+                          for raw in ctx.elements() if not ctx.is_zero_raw(raw)]
+    on, off, fired = _with_and_without_origin_line(monkeypatch, polys)
+    assert on == off
+    assert len(fired) == 134
+
+    # seeded products (Y - aX)·B with B(0, 0) = 1: the rule answers only
+    # those whose good point is X = 0, all 164 of them without a content
+    rng = random.Random(23)
+    polys = []
+    for ctx in (F7, FieldCtx(11), FieldCtx(13), ext_field_build(5, 2), ext_field_build(7, 2)):
+        elems = list(ctx.elements())
+        for _ in range(40):
+            terms = {(rng.randint(0, 2), rng.randint(0, 1)): rng.choice(elems) for _ in range(4)}
+            terms[(0, 1)] = terms[(0, 0)] = ctx.one_raw
+            line = B(ctx, {(0, 1): 1, (1, 0): ctx.rneg(rng.choice(elems))})
+            polys.append(line * B(ctx, terms))
+    on, off, fired = _with_and_without_origin_line(monkeypatch, polys)
+    assert on == off
+    at_origin = {F for F in polys if factorization._good_point(F) == F.ctx.zero_raw}
+    assert fired <= at_origin and len(fired) == 164
+
+
+def test_origin_line_leaves_other_curves_to_the_lift(monkeypatch):
+    lifts = []
+    hensel = factorization._hensel_find_factor
+
+    def counting(F, x0):
+        lifts.append(x0)
+        return hensel(F, x0)
+
+    monkeypatch.setattr(factorization, "_hensel_find_factor", counting)
+    # X - Y is its own branch through the origin, and irreducible
+    assert find_proper_factor(B(F7, {(1, 0): 1, (0, 1): -1})) is None
+    assert lifts == [0]
+    # (Y - X^2)(Y + X + 1): the branch through the origin is tangent to
+    # Y = 0 but is not that line
+    A = B(F7, {(0, 1): 1, (2, 0): -1})
+    F = A * B(F7, {(0, 1): 1, (1, 0): 1, (0, 0): 1})
+    assert factorization._good_point(F) == 0 and factorization._origin_line(F) is None
+    assert find_proper_factor(F) == A
+    assert lifts == [0, 0]
+    # (x^2+1)/(x^2+3): F_1 = 2(X - Y)(X + Y) has the fiber -2Y^2 at X = 0
+    F = build_sym_poly(parse_rational_expr("(x^2+1)/(x^2+3)", 101), 1)
+    w = find_proper_factor(F)
+    assert F.try_divide(w) is not None
+    assert lifts == [0, 0, 1]
 
 
 def test_embedding_roundtrip():

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_startup import _python
 
 from subgroup_values import factorization, lambda_scan
 from subgroup_values.errors import (
@@ -490,9 +491,11 @@ def test_scan_instances_test_their_exceptional_lambdas_without_a_y_gcd(monkeypat
 
 def test_hensel_lift_extends_its_products_instead_of_rebuilding_them(monkeypatch):
     # The lift keeps running prefix products of its factors and extends them
-    # by one X-coefficient per step; over the benchmark's scan instances every
-    # recombination subset is a single factor, so the full products are the
-    # monic target and one candidate per lift.
+    # by one X-coefficient per step; on these scans every recombination
+    # subset is a single factor, so the full products are the monic target
+    # and one candidate per lift. The benchmark's scan instances lift
+    # nothing: each λ = 1 and each symmetry λ has the line through the
+    # origin as its witness.
     calls = {"_spoly_mul": 0, "_hensel_find_factor": 0}
     for name in calls:
         fn = getattr(factorization, name)
@@ -504,7 +507,33 @@ def test_hensel_lift_extends_its_products_instead_of_rebuilding_them(monkeypatch
         monkeypatch.setattr(factorization, name, counting)
     for expr, p in SCAN_INSTANCES:
         exceptional_lambdas(parse_rational_expr(expr, p), p)
-    assert calls == {"_spoly_mul": 18, "_hensel_find_factor": 9}
+    assert calls == {"_spoly_mul": 0, "_hensel_find_factor": 0}
+    for expr, p in (("(x^2+1)/(x^2+3)", 101), ("(x^3+2)/(x^3-2)", 31)):
+        exceptional_lambdas(parse_rational_expr(expr, p), p)
+    assert calls == {"_spoly_mul": 6, "_hensel_find_factor": 3}
+
+
+def test_verdict_and_witness_checks_hold_under_python_O():
+    # both checks raise explicitly, so -O, which strips assert statements,
+    # keeps them
+    r = _python("-O", "-c", (
+        "from subgroup_values import lambda_scan\n"
+        "from subgroup_values.factorization import IrreducibilityVerdict\n"
+        "from subgroup_values.parsing import parse_rational_expr\n"
+        "from subgroup_values.polynomials import BiPoly\n"
+        "def refusal(fn, *args):\n"
+        "    try:\n"
+        "        fn(*args)\n"
+        "    except AssertionError as ex:\n"
+        "        return ex.args\n"
+        "print(__debug__)\n"
+        "print(refusal(IrreducibilityVerdict, False, True, None, None))\n"
+        "print(refusal(IrreducibilityVerdict, False, False, None, None))\n"
+        "lambda_scan.is_absolutely_irreducible = lambda F: IrreducibilityVerdict(\n"
+        "    False, False, BiPoly(F.ctx, {(0, 1): 1, (1, 0): 2}), 1)\n"
+        "print(refusal(lambda_scan.exceptional_lambdas, parse_rational_expr('x^2+x', 7), 7))\n"
+    ))
+    assert r.stdout.splitlines() == ["False", "()", "()", "('witness failed re-verification',)"]
 
 
 def _count_scan_work(monkeypatch, expr, p):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from test_lambda_scan import ORACLE_MAPS
+from test_startup import _python
 
 from subgroup_values import counting, pipeline
 from subgroup_values.counting import (
@@ -293,6 +294,19 @@ def test_sweep_single_and_empty():
 def test_sweep_parallel_matches_serial():
     cells = [c for c in standard_sweep_cells() if c["p"] == 31][:40]
     assert run_sweep(cells, jobs=2) == run_sweep(cells, jobs=1)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_sweep_pool_matches_serial_under_each_start_method(method):
+    # the pool tests above run under the platform default, fork on Linux
+    r = _python("-c", (
+        "import multiprocessing\n"
+        "from subgroup_values.pipeline import run_sweep, standard_sweep_cells\n"
+        f"multiprocessing.set_start_method({method!r})\n"
+        "cells = standard_sweep_cells()\n"
+        "print(run_sweep(cells, jobs=2) == run_sweep(cells, jobs=1))\n"
+    ))
+    assert r.stdout == "True\n"
 
 
 def _choose_lambda_by_walking_g(psi, H, G, exceptional):
