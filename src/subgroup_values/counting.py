@@ -60,9 +60,8 @@ def subgroup_of_order(p: int, T: int) -> Subgroup:
     g = smallest_primitive_root(p)
     gen = pow(g, (p - 1) // T, p)
     sub = Subgroup(p, T, gen)
-    assert pow(gen, T, p) == 1
-    for q in prime_factors(T):
-        assert pow(gen, T // q, p) != 1
+    if pow(gen, T, p) != 1 or any(pow(gen, T // q, p) == 1 for q in prime_factors(T)):
+        raise AssertionError
     return sub
 
 

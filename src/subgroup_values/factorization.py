@@ -204,7 +204,7 @@ class Embedding:
     """F_{p^a} -> F_{p^b} with a | b, sending the source generator to the
     lexicographically smallest root of the source modulus."""
 
-    __slots__ = ("src", "dst", "_powers", "_identity", "_preimage")
+    __slots__ = ("src", "dst", "_root", "_identity", "_preimage")
 
     def __init__(self, src: FieldCtx, dst: FieldCtx):
         if src.p != dst.p or dst.t % src.t != 0:
@@ -212,32 +212,21 @@ class Embedding:
         self.src = src
         self.dst = dst
         self._identity = src == dst
-        self._preimage = None
-        if self._identity or src.t == 1:
-            self._powers = None
-        else:
-            mod = [dst.from_int(c) for c in src.modulus]
-            roots = _u_roots(dst, mod)
+        self._preimage = self._root = None
+        if not self._identity and src.t > 1:
+            roots = _u_roots(dst, [dst.from_int(c) for c in src.modulus])
             if not roots:
                 raise AssertionError("source modulus has no root in the target field")
-            root = roots[0]
-            powers = [dst.one_raw]
-            for _ in range(src.t - 1):
-                powers.append(dst.rmul(powers[-1], root))
-            self._powers = powers
+            self._root = roots[0]
 
     def map_raw(self, a):
+        """The image of a: its coefficient list evaluated at the chosen root."""
         if self._identity:
             return a
-        if self.src.t == 1:
-            return self.dst.from_int(a)
         dst = self.dst
-        acc = dst.zero_raw
-        p = dst.p
-        for c, pw in zip(a, self._powers):
-            if c:
-                acc = dst.radd(acc, tuple(x * c % p for x in pw))
-        return acc
+        if self.src.t == 1:
+            return dst.from_int(a)
+        return _ueval(dst, [dst.from_int(c) for c in a], self._root)
 
     def descend_raw(self, a):
         """Preimage in the source field, or None when a is outside the image,
@@ -395,7 +384,8 @@ def _hensel_find_factor(F: BiPoly, x0):
     z = ctx.zero_raw
 
     u0 = _ustrip(ctx, [(row[0] if row else z) for row in rows])
-    assert len(u0) - 1 == n, "leading coefficient vanished at the chosen point"
+    if len(u0) - 1 != n:
+        raise AssertionError("leading coefficient vanished at the chosen point")
     rng = random.Random(0)
     base_factors = _u_factor_monic_squarefree(ctx, _umonic(ctx, u0), rng)
     base_factors.sort(key=lambda g: (len(g), _ukey(ctx, g)))
@@ -518,7 +508,8 @@ def _complete_squarefree_factorization(F: BiPoly):
     if w is None:
         return [F.grlex_monic()]
     q = F.try_divide(w)
-    assert q is not None, "reported factor does not divide"
+    if q is None:
+        raise AssertionError("reported factor does not divide")
     return _complete_squarefree_factorization(w) + _complete_squarefree_factorization(q)
 
 
@@ -555,7 +546,8 @@ def _factor_via_extension(F: BiPoly):
         cur = cur.grlex_monic()
         if cur.key() in seen:
             break
-        assert cur.key() in index, "conjugate escaped the factor list"
+        if cur.key() not in index:
+            raise AssertionError("conjugate escaped the factor list")
         orbit.append(cur)
         seen.add(cur.key())
     if len(orbit) == len(factors):
@@ -567,7 +559,8 @@ def _factor_via_extension(F: BiPoly):
     down = {}
     for k, c in prod.terms.items():
         dc = emb.descend_raw(c)
-        assert dc is not None, "orbit product not defined over the base field"
+        if dc is None:
+            raise AssertionError("orbit product not defined over the base field")
         down[k] = dc
     return BiPoly(ctx, down)
 
@@ -773,7 +766,8 @@ def extract_power_root(psi: RationalFunc, n: int) -> RationalFunc:
     for poly in (psi.num, psi.den):
         root = [ctx.one_raw]
         for g, mult in _u_sqfree(ctx, _umonic(ctx, list(poly.coeffs))):
-            assert mult % n == 0
+            if mult % n:
+                raise AssertionError
             for _ in range(mult // n):
                 root = _umul(ctx, root, g)
         roots.append(root)

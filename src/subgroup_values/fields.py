@@ -3,8 +3,9 @@
 Elements travel in a compact "raw" form: a plain int in [0, p) when t = 1,
 or a length-t tuple of ints (ascending powers of the generator) when t > 1.
 FieldElem wraps a raw value with its context for the public API; hot loops
-call the context methods on raws directly. F_{p^t} checks its modulus and
-inverts with the polynomials._u* helpers over F_p, the one polynomial layer.
+call the context methods on raws directly. F_{p^t} multiplies through
+_mulmod, and checks its modulus and inverts (_uextgcd) with the polynomials._u*
+helpers over F_p, the one polynomial layer; _power is the one power loop.
 """
 
 import functools
@@ -15,6 +16,7 @@ from .errors import (
     DegreeTooLarge,
     NonInvertible,
     NotPrime,
+    PreconditionViolated,
     PrimeTooLarge,
     ZeroInverse,
 )
@@ -95,6 +97,40 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def _power(mul, one, b, e: int):
+    """b^e for e >= 0 by square-and-multiply under mul, one the empty
+    product; the last squaring, which nothing would read, is skipped."""
+    if e < 0:
+        raise PreconditionViolated(f"negative exponent {e}")
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, b)
+        e >>= 1
+        if e:
+            b = mul(b, b)
+    return result
+
+
+def _mulmod(p: int, u, v, tail) -> list:
+    """u·v mod the monic X^d - tail over F_p, d = len(tail), for ascending int
+    lists u and v: the products are summed unreduced, each coefficient of X^d
+    and above folds onto the d below it from the top down, and the sums are
+    reduced mod p last. Trailing zeros are kept."""
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v, i):
+                out[j] += x * y
+    d = len(tail)
+    while len(out) > d:
+        x = out.pop() % p
+        if x:
+            for j, y in enumerate(tail, len(out) - d):
+                out[j] += x * y
+    return [x % p for x in out]
+
+
 def _is_irreducible(base, f):
     """Rabin's test for a monic f of degree t >= 2 over the prime field base:
     irreducible iff X^(p^t) = X mod f and gcd(X^(p^(t/l)) - X, f) = 1 for
@@ -120,7 +156,7 @@ def _is_irreducible(base, f):
 class FieldCtx:
     """Immutable arithmetic context for F_{p^t}; every operation is pure."""
 
-    __slots__ = ("p", "t", "modulus", "q", "_mred", "_base")
+    __slots__ = ("p", "t", "modulus", "q", "_tail", "_base")
 
     def __init__(self, p: int, t: int = 1, modulus=None):
         check_prime(p)
@@ -132,9 +168,7 @@ class FieldCtx:
         if t == 1:
             if modulus is not None:
                 raise ValueError("a prime field takes no modulus")
-            self.modulus = None
-            self._mred = None
-            self._base = None
+            self.modulus = self._tail = self._base = None
         else:
             if modulus is None:
                 raise ValueError("an extension field needs a modulus; use ext_field_build")
@@ -145,7 +179,7 @@ class FieldCtx:
             if not _is_irreducible(base, list(m)):
                 raise ValueError("modulus is not irreducible over F_p")
             self.modulus = m
-            self._mred = tuple((p - c) % p for c in m[:-1])
+            self._tail = tuple(-c % p for c in m[:-1])  # X^t = tail mod m
             self._base = base
 
     # -- raw arithmetic (int for t == 1, tuple of ints otherwise) --
@@ -184,26 +218,9 @@ class FieldCtx:
         return tuple(-x % p for x in a)
 
     def rmul(self, a, b):
-        p = self.p
         if self.t == 1:
-            return a * b % p
-        t = self.t
-        prod = [0] * (2 * t - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] = (prod[i + j] + x * y) % p
-        red = self._mred
-        for i in range(2 * t - 2, t - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                base = i - t
-                for j, rc in enumerate(red):
-                    if rc:
-                        prod[base + j] = (prod[base + j] + c * rc) % p
-        return tuple(prod[:t])
+            return a * b % self.p
+        return tuple(_mulmod(self.p, a, b, self._tail))
 
     def rinv(self, a):
         if self.is_zero_raw(a):
@@ -224,14 +241,7 @@ class FieldCtx:
             e = -e
         if self.t == 1:
             return pow(a, e, self.p)
-        result = self.one_raw
-        base = a
-        while e:
-            if e & 1:
-                result = self.rmul(result, base)
-            base = self.rmul(base, base)
-            e >>= 1
-        return result
+        return _power(self.rmul, self.one_raw, a, e)
 
     def raw_key(self, a) -> int:
         """Total order on elements: the integer whose base-p digits are the coeffs."""

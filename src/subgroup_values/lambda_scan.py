@@ -65,6 +65,7 @@ from .factorization import (
     _validate_bivariate_input,
     embed_bipoly,
     embed_unipoly,
+    get_embedding,
     is_absolutely_irreducible,
     perfect_power_exponent,
 )
@@ -135,11 +136,16 @@ class LambdaReport(NamedTuple):
         return len(self.exceptional)
 
 
-def _in_proper_subfield(ctx: FieldCtx, raw, t: int) -> bool:
+def _new_elements(p: int, t: int):
+    """The elements of F_{p^t} in no proper subfield, in elements() order:
+    the scan reaches the rest, 0 among them, at a smaller t."""
+    ctx = ext_field_build(p, t)
+    old = set()
     for u in range(1, t):
-        if t % u == 0 and ctx.rpow(raw, ctx.p**u) == raw:
-            return True
-    return False
+        if t % u == 0:
+            sub = ext_field_build(p, u)
+            old.update(map(get_embedding(sub, ctx).map_raw, sub.elements()))
+    return (raw for raw in ctx.elements() if raw not in old)
 
 
 def _disc_is_square(ctx: FieldCtx, P) -> bool:
@@ -371,11 +377,7 @@ def exceptional_lambdas(psi: RationalFunc, p: int | None = None, max_ext: int = 
         if t == 1:
             lams = [1] + _sieve(ctx_t, range(2, ctx.p), ratios, table, need_point)
         else:
-            lams = (
-                raw for raw in ctx_t.elements()
-                if not (ctx_t.is_zero_raw(raw) or _in_proper_subfield(ctx_t, raw, t))
-            )
-            lams = _sieve(ctx_t, lams, ratios, table, need_point)
+            lams = _sieve(ctx_t, _new_elements(ctx.p, t), ratios, table, need_point)
         for raw in lams:
             sym = first if t == 1 and raw == 1 else build_sym_poly(psi, FieldElem(ctx_t, raw))
             verdict = is_absolutely_irreducible(sym)

@@ -246,7 +246,8 @@ def shortest_vector_enum(B: LatticeBasis) -> tuple:
     bound = max(bound, 1)
     bound = min(bound, min(max(abs(x) for x in col) for col in reduced))
     raw = _enumerate_ball(reduced, d, lam, bound)
-    assert raw, "volume bound excluded every vector (impossible)"
+    if not raw:
+        raise AssertionError("volume bound excluded every vector (impossible)")
     return min(
         map(_canonical, raw),
         key=lambda v: (max(map(abs, v)), sum(x * x for x in v), tuple(-x for x in v)),
@@ -265,10 +266,8 @@ def _as_root(v) -> tuple:
 
 
 def _floor_bound(v) -> int:
-    if isinstance(v, Surd):
-        return v.floor()
-    f = Fraction(v)
-    return f.numerator // f.denominator
+    a, b, k = _as_root(v)
+    return iroot(a // b, k)
 
 
 class SmallResidueInstance:

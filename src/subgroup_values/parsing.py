@@ -6,7 +6,7 @@ bivariate grammar (x and y, no division) used for point counting.
 """
 
 from .errors import ParseError, ZeroDenominator
-from .fields import FieldCtx
+from .fields import FieldCtx, _power
 from .polynomials import RationalFunc, UniPoly, rational_normalize
 
 _OPS = set("+-*/^()")
@@ -167,7 +167,7 @@ def parse_int_bipoly(text: str) -> dict:
         "sub": lambda a, b: add(a, {k: -c for k, c in b.items()}),
         "mul": _ib_mul,
         "neg": lambda a: {k: -c for k, c in a.items()},
-        "pow": lambda a, e: _ib_pow(a, e),
+        "pow": lambda a, e: _power(_ib_mul, {(0, 0): 1}, a, e),
         "const": lambda n: {(0, 0): n} if n else {},
         "var": lambda name: {(1, 0): 1} if name == "x" else {(0, 1): 1},
     }
@@ -177,10 +177,3 @@ def parse_int_bipoly(text: str) -> dict:
     if end[0] != "end":
         raise ParseError("trailing input", end[2])
     return out
-
-
-def _ib_pow(a, e):
-    acc = {(0, 0): 1}
-    for _ in range(e):
-        acc = _ib_mul(acc, a)
-    return acc

@@ -101,8 +101,10 @@ def support_set(ell: int, m: int) -> SupportSet:
     )
     s = 2 * m * ell + 2 * m - ell * ell
     k = (ell + 1) * (ell * m - ell * ell + m * m + m)
-    assert len(pairs) == 2 * (m + 1) * (ell + 1) - (ell + 1) ** 2 - 1 == s
-    assert sum(i + j for i, j in pairs) == k
+    if not len(pairs) == 2 * (m + 1) * (ell + 1) - (ell + 1) ** 2 - 1 == s:
+        raise AssertionError
+    if sum(i + j for i, j in pairs) != k:
+        raise AssertionError
     return SupportSet(ell=ell, m=m, pairs=pairs)
 
 
@@ -159,7 +161,8 @@ def select_test_levels(p: int, H: int, exp: ExponentSet) -> LevelSelection:
     for v in levels.values():
         prod = prod * v
     product_check = prod.as_fraction()
-    assert product_check == base
+    if product_check != base:
+        raise AssertionError
     return LevelSelection(p=p, H=H, U=U, levels=levels, product_check=product_check)
 
 
@@ -321,7 +324,8 @@ def _trace(psi: RationalFunc, G: Subgroup, exp: ExponentSet, levels: LevelSelect
 
     best_lam, pair_count = _choose_lambda(psi, values, G, exceptional)
     best_pairs = congruent_pairs(psi, best_lam, H, p)
-    assert len(best_pairs) == pair_count, "bucket count disagrees with the congruent pairs"
+    if len(best_pairs) != pair_count:
+        raise AssertionError("bucket count disagrees with the congruent pairs")
     m3 = exp.m**3
     rt_lower = Fraction(max(count * count - 4 * m3 * count, 0), T)
     rt_ok = Fraction(len(best_pairs)) >= rt_lower
@@ -350,7 +354,8 @@ def _trace(psi: RationalFunc, G: Subgroup, exp: ExponentSet, levels: LevelSelect
     pairs_z = []
     for (x, y) in best_pairs:
         diff = _eval_int_bipoly(F_terms, x, y) - _eval_int_bipoly(G_terms, x, y)
-        assert diff % p == 0, "congruent pair fails the integer congruence"
+        if diff % p:
+            raise AssertionError("congruent pair fails the integer congruence")
         pairs_z.append((x, y, diff // p))
     z_max = max((abs(z) for _, _, z in pairs_z), default=0)
     z_magnitude = p ** (-1.0 / exp.s) * H ** (exp.k / exp.s) + 1.0
@@ -360,8 +365,8 @@ def _trace(psi: RationalFunc, G: Subgroup, exp: ExponentSet, levels: LevelSelect
     for (x, y, z) in pairs_z:
         lhs = _eval_int_terms_horner(F_terms, x, y)
         rhs = _eval_int_terms_horner(G_terms, x, y)
-        assert lhs - rhs == z * p
-        assert abs(z) <= z_max
+        if lhs - rhs != z * p or abs(z) > z_max:
+            raise AssertionError
 
     bound = value_count_bound(exp, p, H, T)
     return ProofTrace(

@@ -19,15 +19,16 @@ from .errors import (
     ZeroInverse,
     ZeroPolynomial,
 )
-from .fields import NEG_INF, FieldCtx, FieldElem
+from .fields import NEG_INF, FieldCtx, FieldElem, _mulmod, _power
 
 # --- raw-list univariate helpers ----------------------------------------------
 #
 # Over F_p (ctx.t == 1) a raw is a plain int, so the inner-loop kernels
 # _umul, _udivmod, _ueval and _upowmod branch once on ctx.t at the top and
-# run plain int arithmetic mod p (_upowmod multiplies and reduces each
-# product in one pass), returning lists equal element for element to the
-# generic loop's, with its exceptions; the generic loop serves F_{p^t}, t > 1.
+# run plain int arithmetic mod p, returning lists equal element for element
+# to the generic loop's, with its exceptions; the generic loop serves
+# F_{p^t}, t > 1. Every power runs fields._power, every Horner scheme _ueval,
+# and _upowmod's F_p product is fields._mulmod, the kernel of FieldCtx.rmul.
 
 
 def _ustrip(ctx, f):
@@ -178,48 +179,24 @@ def _uderiv(ctx, f):
 
 
 def _upowmod(ctx, base, e, m):
+    b = _urem(ctx, base, m)
     if ctx.t == 1:
-        b = _urem(ctx, base, m)
-        # Each product is multiplied and reduced in one pass over unreduced
-        # int sums: with d = deg m, X^d = tail mod m, so each coefficient of
-        # X^d and above folds back onto the d below it, from the top down.
         p = ctx.p
-        d = len(m) - 1
         c = pow(m[-1], -1, p)
-        tail = [-x * c % p for x in m[:-1]]
+        tail = [-x * c % p for x in m[:-1]]  # X^d = tail mod m, d = deg m
 
-        def mulmod(u, v):
-            out = [0] * (len(u) + len(v) - 1)
-            for i, x in enumerate(u):
-                if x:
-                    for j, y in enumerate(v, i):
-                        out[j] += x * y
-            for i in range(len(out) - 1 - d, -1, -1):
-                x = out.pop() % p
-                if x:
-                    for j, y in enumerate(tail, i):
-                        out[j] += x * y
-            out = [x % p for x in out]
+        def mul(u, v):
+            out = _mulmod(p, u, v, tail)
             while out and not out[-1]:
                 out.pop()
             return out
 
-        result = [1]
-        while True:
-            if e & 1:
-                result = mulmod(result, b)
-            e >>= 1
-            if not e:
-                return result
-            b = mulmod(b, b)
-    result = [ctx.one_raw]
-    b = _urem(ctx, base, m)
-    while e:
-        if e & 1:
-            result = _urem(ctx, _umul(ctx, result, b), m)
-        b = _urem(ctx, _umul(ctx, b, b), m)
-        e >>= 1
-    return result
+    else:
+
+        def mul(u, v):
+            return _urem(ctx, _umul(ctx, u, v), m)
+
+    return _power(mul, [ctx.one_raw], b, e)
 
 
 def _ushift(ctx, f, a):
@@ -327,14 +304,7 @@ class UniPoly:
         return divmod(self, other)[0]
 
     def __pow__(self, e: int):
-        result = UniPoly.one(self.ctx)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(UniPoly.__mul__, UniPoly.one(self.ctx), self, e)
 
     def monic(self):
         return UniPoly(self.ctx, _umonic(self.ctx, list(self.coeffs)))
@@ -468,26 +438,9 @@ class BiPoly:
             raise CtxMismatch("polynomials over different fields")
 
     def eval_raw(self, x_raw, y_raw):
-        """Exact evaluation, Horner in Y inside and X outside."""
+        """Exact evaluation: Horner in Y over the Y-view rows' values at x."""
         ctx = self.ctx
-        if not self.terms:
-            return ctx.zero_raw
-        nx = self.deg_x
-        rows = [{} for _ in range(nx + 1)]
-        for (i, j), c in self.terms.items():
-            rows[i][j] = c
-        acc = ctx.zero_raw
-        for i in range(nx, -1, -1):
-            row = rows[i]
-            inner = ctx.zero_raw
-            if row:
-                ny = max(row)
-                for j in range(ny, -1, -1):
-                    inner = ctx.rmul(inner, y_raw)
-                    if j in row:
-                        inner = ctx.radd(inner, row[j])
-            acc = ctx.radd(ctx.rmul(acc, x_raw), inner)
-        return acc
+        return _ueval(ctx, [_ueval(ctx, row, x_raw) for row in self.to_y_view()], y_raw)
 
     def eval(self, x, y) -> FieldElem:
         x = self.ctx.el(x)

@@ -9,12 +9,13 @@ from fractions import Fraction
 
 
 def iroot(n: int, k: int) -> int:
-    """floor(n^(1/k)) for integers n >= 0 and k >= 1, by integer Newton
-    iteration from a power of two above the root; exact at any size."""
+    """floor(n^(1/k)) for integers k >= 1 and n >= 0 (any n when k = 1), by
+    integer Newton iteration from a power of two above the root; exact at
+    any size."""
+    if k == 1 or 0 <= n < 2:
+        return n
     if n < 0:
         raise ValueError("negative radicand")
-    if n < 2 or k == 1:
-        return n
     x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k

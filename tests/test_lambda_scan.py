@@ -536,6 +536,43 @@ def test_verdict_and_witness_checks_hold_under_python_O():
     assert r.stdout.splitlines() == ["False", "()", "()", "('witness failed re-verification',)"]
 
 
+def test_program_checks_hold_under_python_O():
+    # one check per module, each broken by a monkeypatch: a generator that
+    # is not primitive, a multiplicity that n does not divide, an empty
+    # enumeration and a congruent pair dropped. Each raises explicitly, so
+    # -O keeps it.
+    r = _python("-O", "-c", (
+        "from subgroup_values import counting, factorization, lattices, pipeline\n"
+        "from subgroup_values.lattices import LatticeBasis\n"
+        "from subgroup_values.parsing import parse_rational_expr\n"
+        "def refusal(mod, name, broken, fn, *args):\n"
+        "    kept = getattr(mod, name)\n"
+        "    setattr(mod, name, broken(kept))\n"
+        "    try:\n"
+        "        fn(*args)\n"
+        "    except AssertionError as ex:\n"
+        "        return ex.args\n"
+        "    finally:\n"
+        "        setattr(mod, name, kept)\n"
+        "print(__debug__)\n"
+        "print(refusal(counting, 'smallest_primitive_root', lambda fn: lambda p: 1,\n"
+        "              counting.subgroup_of_order, 13, 4))\n"
+        "print(refusal(factorization, '_u_sqfree', lambda fn: lambda ctx, f: [([0, 1], 3)],\n"
+        "              factorization.extract_power_root, parse_rational_expr('x^2', 7), 2))\n"
+        "print(refusal(lattices, '_enumerate_ball', lambda fn: lambda *args: [],\n"
+        "              lattices.shortest_vector_enum, LatticeBasis(((2, 0), (0, 2)))))\n"
+        "print(refusal(pipeline, 'congruent_pairs', lambda fn: lambda *args: fn(*args)[1:],\n"
+        "              pipeline.trace_proof, parse_rational_expr('x^2+x', 31), 31, 3, 5))\n"
+    ))
+    assert r.stdout.splitlines() == [
+        "False",
+        "()",
+        "()",
+        "('volume bound excluded every vector (impossible)',)",
+        "('bucket count disagrees with the congruent pairs',)",
+    ]
+
+
 def _count_scan_work(monkeypatch, expr, p):
     """(exceptional λ, gcd calls in lambda_scan, λ given to build_sym_poly, λ
     that reached is_absolutely_irreducible) for one scan."""
