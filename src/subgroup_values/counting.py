@@ -4,7 +4,9 @@ power-sum solution counts, congruent pairs, and integer points in boxes.
 """
 
 import functools
+import itertools
 import math
+from collections import Counter
 from typing import NamedTuple
 
 from .errors import (
@@ -105,15 +107,15 @@ def count_values_in_subgroup(psi: RationalFunc, interval: Interval, G: Subgroup)
     p = psi.ctx.p
     if psi.ctx.t != 1 or p != G.p:
         raise FieldMismatch("ψ and the subgroup live over different prime fields")
-    witnesses = []
-    T = G.order
-    for x in interval.xs(p):
-        v = psi.eval_raw(x)
-        if v is None:
-            continue
-        if v != 0 and pow(v, T, p) == 1:
-            witnesses.append(x)
-    return SubgroupCount(len(witnesses), tuple(witnesses))
+    return _count_values(((x, psi.eval_raw(x)) for x in interval.xs(p)), G)
+
+
+def _count_values(points, G: Subgroup) -> SubgroupCount:
+    """The x of the pairs (x, ψ(x)) with ψ(x) in G, read one pair at a time;
+    ψ(x) is a raw element of F_p, or None at a pole."""
+    p, T = G.p, G.order
+    witnesses = tuple(x for x, v in points if v and pow(v, T, p) == 1)
+    return SubgroupCount(len(witnesses), witnesses)
 
 
 def _cover_length(values, p: int, wrap: bool) -> int:
@@ -177,18 +179,10 @@ def vinogradov_count(d: int, k: int, H: int, budget: int = 10**9) -> int:
         raise PreconditionViolated("d, k, H must all be >= 1")
     if d * k * H ** (2 * k) > budget:
         raise BudgetExceeded(f"d*k*H^(2k) = {d * k * H ** (2 * k)} exceeds {budget}")
-    sigs: dict = {}
-    idx = [1] * k
-    while True:
-        sig = tuple(sum(x**nu for x in idx) for nu in range(1, d + 1))
-        sigs[sig] = sigs.get(sig, 0) + 1
-        pos = k - 1
-        while pos >= 0 and idx[pos] == H:
-            idx[pos] = 1
-            pos -= 1
-        if pos < 0:
-            break
-        idx[pos] += 1
+    sigs = Counter(
+        tuple(sum(x**nu for x in xs) for nu in range(1, d + 1))
+        for xs in itertools.product(range(1, H + 1), repeat=k)
+    )
     return sum(c * c for c in sigs.values())
 
 

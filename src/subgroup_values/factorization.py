@@ -773,10 +773,8 @@ def extract_power_root(psi: RationalFunc, n: int) -> RationalFunc:
         roots.append(root)
     num_root, den_root = roots
     a = psi.num.lc
-    for u in range(1, MAX_EXT_DEGREE + 1):
+    for u in range(1, MAX_EXT_DEGREE // ctx.t + 1):
         target = ext_field_build(ctx.p, ctx.t * u) if u > 1 else ctx
-        if target.t > MAX_EXT_DEGREE:
-            break
         emb = get_embedding(ctx, target)
         a_up = emb.map_raw(a)
         # roots of Z^n - a in the target field

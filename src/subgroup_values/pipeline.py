@@ -21,6 +21,7 @@ from .counting import (
     Interval,
     Subgroup,
     SubgroupCount,
+    _count_values,
     _eval_int_bipoly,
     congruent_pairs,
     subgroup_of_order,
@@ -260,15 +261,7 @@ def trace_proof(psi: RationalFunc, p: int, H: int, T: int, exceptional=None) -> 
     if exceptional is None:
         exceptional = {int(w.lam) for w in exceptional_lambdas(psi, p).exceptional}
     values = list(map(psi.eval_raw, range(1, H + 1)))
-    return _trace(psi, G, exp, levels, set(exceptional), values, _count_values(values, G))
-
-
-def _count_values(values: list, G: Subgroup) -> SubgroupCount:
-    """count_values_in_subgroup on the interval 1..len(values), read from ψ's
-    raw values there (None at a pole)."""
-    p, T = G.p, G.order
-    witnesses = tuple(x for x, v in enumerate(values, 1) if v and pow(v, T, p) == 1)
-    return SubgroupCount(len(witnesses), witnesses)
+    return _trace(psi, G, exp, levels, set(exceptional), values, _count_values(enumerate(values, 1), G))
 
 
 def _choose_lambda(psi: RationalFunc, values: list, G: Subgroup, exceptional: set) -> tuple:
@@ -317,7 +310,7 @@ def _trace(psi: RationalFunc, G: Subgroup, exp: ExponentSet, levels: LevelSelect
     """trace_proof past its checks: ψ lives over F_p, is nonconstant and no
     perfect power, exp is its exponent set, 2 <= H < p, s is within the cap,
     levels = select_test_levels(p, H, exp), values holds ψ's raw values on
-    1..H (None at a pole) and counted is _count_values(values, G)."""
+    1..H (None at a pole) and counted is _count_values(enumerate(values, 1), G)."""
     p, T, H = G.p, G.order, levels.H
     count, witnesses = counted
     lambda_count = len(exceptional)
@@ -348,8 +341,6 @@ def _trace(psi: RationalFunc, G: Subgroup, exp: ExponentSet, levels: LevelSelect
         for i, b in enumerate(psi.den.coeffs):
             if a and b:
                 G_terms[(i, j)] = signed_residue(v * best_lam * a * b % p, p)
-    F_terms = {k: c for k, c in F_terms.items() if c}
-    G_terms = {k: c for k, c in G_terms.items() if c}
 
     pairs_z = []
     for (x, y) in best_pairs:
@@ -410,107 +401,85 @@ def standard_sweep_cells() -> tuple:
     return tuple(cells)
 
 
+def _kept(build, *args):
+    """build(*args), or the SubgroupValuesError that it raised."""
+    try:
+        return build(*args)
+    except SubgroupValuesError as ex:
+        return ex
+
+
+def _value(kept):
+    """kept, unless it is a refusal; that is raised with a fresh traceback, as
+    raising one exception object again adds to the traceback it holds."""
+    if isinstance(kept, SubgroupValuesError):
+        raise kept.with_traceback(None)
+    return kept
+
+
 def _evaluate_group(p: int, psi_text: str, cells: list) -> list:
-    """Rows for all cells sharing (p, ψ); the λ scan and the exponent set are
-    computed once, the subgroup once per T, the levels once per H, and ψ once
-    per point of each shift's window: a cell's count and its trace read the
-    values of ψ on u+1..u+H, which are those of ψ(x + u) on 1..H. ψ(x + u)
-    itself is built once per shift u, when the first cell at u reaches the
-    trace."""
-    rows = []
-    try:
-        psi = parse_rational_expr(psi_text, p)
-        d = psi.num.degree if not psi.num.is_zero() else None
-        e = psi.den.degree
-    except SubgroupValuesError as ex:
-        return [
-            ReportRow(
-                p=p, d=None, e=None, H=c["H"], T=c["T"], u=c.get("u", 0),
-                N=None, bound=None, ratio=None, lambda_count=None,
-                status=STATUS_ERROR, error=str(ex),
-            )
-            for c in cells
-        ]
+    """Rows for all cells sharing (p, ψ).
 
-    lam_set = None
-    lam_count = None
-    perfect = False
-    lam_error = ""
-    try:
-        report = exceptional_lambdas(psi, p)
-        lam_set = {int(w.lam) for w in report.exceptional}
-        lam_count = report.count
-    except PerfectPowerInput:
-        perfect = True
-    except SubgroupValuesError as ex:
-        lam_error = str(ex)
+    Each input is built once and kept as its value or as the
+    SubgroupValuesError that building it raised: ψ, its exponent set and its
+    λ-scan set per group, the subgroup per T, the levels per H, and ψ(x + u)
+    per shift u, once a cell at u reaches the trace. ψ is read once per point
+    of each shift's window: a cell's count and trace read ψ on u+1..u+H, the
+    values of ψ(x + u) on 1..H.
 
-    exp = None
-    groups: dict = {}  # T -> its Subgroup, or the SubgroupValuesError it raised
-    levels: dict = {}  # H -> its LevelSelection, or the WindowEmpty it raised
+    A cell needs, in order, ψ and its exponent set, the subgroup and the
+    interval; it records N, bound and ratio; then it needs the scan's outcome,
+    the size check, the levels and the trace. Its row carries the first
+    refusal it meets: perfect-power when the scan refused ψ as a perfect
+    power, window-empty when the largest level reaches p, error otherwise.
+    """
+    psi = _kept(parse_rational_expr, psi_text, p)
+    parsed = not isinstance(psi, SubgroupValuesError)
+    # a ψ that does not parse refuses every cell, before anything is counted
+    exp = _kept(exponent_set, psi.d, psi.e) if parsed else psi
+    lam = _kept(lambda: {int(w.lam) for w in exceptional_lambdas(psi, p).exceptional}) if parsed else psi
+    d = psi.num.degree if parsed and not psi.num.is_zero() else None
+    e = psi.den.degree if parsed else None
+    lambda_count = len(lam) if isinstance(lam, set) else None
+
+    groups: dict = {}  # T -> its Subgroup, or its refusal
+    levels: dict = {}  # H -> its LevelSelection, or its refusal
     values: dict = {}  # u -> ψ's raw values on u+1, u+2, ..., as far as read
     shifted = {0: psi}  # u -> ψ(x + u), for the shifts traced so far
+    rows = []
     for c in cells:
         H, T, u = c["H"], c["T"], c.get("u", 0)
         N = bound = ratio = None
-        status = STATUS_OK
-        error = ""
+        status, error = STATUS_OK, ""
         try:
-            if exp is None:
-                # ψ(x + u) has ψ's degrees; a degenerate ψ raises on every cell
-                exp = exponent_set(psi.d, psi.e)
-            if T not in groups:
-                try:
-                    groups[T] = subgroup_of_order(p, T)
-                except SubgroupValuesError as ex:
-                    groups[T] = ex
-            G = groups[T]
-            if isinstance(G, SubgroupValuesError):
-                raise G
+            _value(exp)
+            G = _value(groups.get(T) or groups.setdefault(T, _kept(subgroup_of_order, p, T)))
             xs = Interval(u, H).xs(p)
             vals = values.setdefault(u, [])
             vals += map(psi.eval_raw, xs[len(vals):])
             window = vals[:H]
-            counted = _count_values(window, G)
+            counted = _count_values(enumerate(window, 1), G)
             N = counted.count
             bound = value_count_bound(exp, p, H, T)
-            ratio = N / bound if bound else None
-            if perfect:
-                status = STATUS_PERFECT_POWER
-            elif lam_error:
-                status = STATUS_ERROR
-                error = lam_error
-            else:
-                # the scan has refused constant maps and perfect powers, and
-                # ψ(x + u) is one exactly when ψ is
-                _check_trace_size(p, H, exp)
-                if H not in levels:
-                    try:
-                        levels[H] = select_test_levels(p, H, exp)
-                    except WindowEmpty as ex:
-                        levels[H] = ex
-                if isinstance(levels[H], WindowEmpty):
-                    raise levels[H]
-                if u not in shifted:
-                    shifted[u] = psi.shift(u)
-                _trace(shifted[u], G, exp, levels[H], lam_set, window, counted)
+            ratio = N / bound
+            # the scan has refused constant maps and perfect powers, and
+            # ψ(x + u) is one exactly when ψ is
+            _value(lam)
+            _check_trace_size(p, H, exp)
+            V = _value(levels.get(H) or levels.setdefault(H, _kept(select_test_levels, p, H, exp)))
+            psi_u = shifted.get(u) or shifted.setdefault(u, psi.shift(u))
+            _trace(psi_u, G, exp, V, lam, window, counted)
+        except PerfectPowerInput:
+            status = STATUS_PERFECT_POWER
         except WindowEmpty as ex:
-            status = STATUS_WINDOW_EMPTY
-            error = str(ex)
+            status, error = STATUS_WINDOW_EMPTY, str(ex)
         except SubgroupValuesError as ex:
-            status = STATUS_ERROR
-            error = str(ex)
-        rows.append(
-            ReportRow(
-                p=p, d=d, e=e, H=H, T=T, u=u, N=N, bound=bound, ratio=ratio,
-                lambda_count=lam_count, status=status, error=error,
-            )
-        )
+            status, error = STATUS_ERROR, str(ex)
+        rows.append(ReportRow(
+            p=p, d=d, e=e, H=H, T=T, u=u, N=N, bound=bound, ratio=ratio,
+            lambda_count=lambda_count, status=status, error=error,
+        ))
     return rows
-
-
-def _group_worker(args):
-    return _evaluate_group(*args)
 
 
 def run_sweep(cells, jobs: int = 1) -> list:
@@ -524,10 +493,10 @@ def run_sweep(cells, jobs: int = 1) -> list:
     rows = []
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for out in pool.map(_group_worker, tasks):
+            for out in pool.map(_evaluate_group, *zip(*tasks)):
                 rows.extend(out)
     else:
         for t in tasks:
-            rows.extend(_group_worker(t))
+            rows.extend(_evaluate_group(*t))
     rows.sort(key=ReportRow.sort_key)
     return rows

@@ -321,3 +321,18 @@ def test_startup_time_script_times_the_import_and_every_subcommand():
         "sweep", "kshort", "vinogradov", "points",
     ]
     assert all(float(row.split()[0]) > 0 for row in rows)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_output_file_gets_the_bytes_stdout_would_get(tmp_path, capsys, fmt):
+    for argv in (
+        ["count", "--psi", "(x^2+1)/(x+2)", "-p", "31", "-T", "5", "--interval", "4..20"],
+        ["lambda-scan", "--psi", "x^3+x", "-p", "31"],
+    ):
+        argv += ["--format", fmt]
+        assert cmd_dispatch(argv) == 0
+        want = capsys.readouterr().out
+        out = tmp_path / f"{argv[0]}.{fmt}"
+        assert cmd_dispatch([*argv, "--output", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert want and out.read_bytes() == want.encode()

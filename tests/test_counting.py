@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -269,3 +270,19 @@ def test_integral_points_reference_magnitude():
     assert r.curve_degree == 2
     assert r.h_root == pytest.approx(4.0)
     assert r.reference is not None and r.reference > r.h_root
+
+
+def test_count_values_reads_a_long_interval_without_keeping_it():
+    # `count --interval 1..2000000000` must run in constant memory: the
+    # points are read one at a time and only the witnesses are kept
+    p = 2**31 - 1
+    psi = R(FieldCtx(p), [1, 1, 1])
+    G = subgroup_of_order(p, 2)
+    tracemalloc.start()
+    try:
+        n, wit = count_values_in_subgroup(psi, Interval(0, 100_000), G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == len(wit) and all(pow(x * x + x + 1, 2, p) == 1 for x in wit)
+    assert peak < 200_000, peak

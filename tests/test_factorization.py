@@ -720,3 +720,14 @@ def test_char_p_multiplicity_profile():
     ctx = FieldCtx(5)
     psi = R(ctx, P(ctx, 1, 1) ** 5, P(ctx, 1))
     assert perfect_power_exponent(psi) == 5
+
+
+def test_extract_power_root_refuses_past_the_cap_over_an_extension():
+    # g generates F_9*, of order 8; a 16th root of g needs an element of
+    # order 128, which F_{3^n}* has only for 32 | n, past the degree cap
+    F9 = ext_field_build(3, 2)
+    g = next(a for a in F9.elements() if a != F9.zero_raw and F9.rpow(a, 4) != F9.one_raw)
+    psi = rational_normalize(UniPoly(F9, [F9.zero_raw] * 16 + [g]), UniPoly.one(F9))
+    with pytest.raises(DegreeTooLarge) as refusal:
+        extract_power_root(psi, 16)
+    assert str(refusal.value) == "no degree-16 root of the leading coefficient within the extension cap"

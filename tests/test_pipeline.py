@@ -1,14 +1,18 @@
+import json
 import math
 import random
 import sys
+import traceback
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from test_lambda_scan import ORACLE_MAPS
 from test_startup import _python
 
 from subgroup_values import counting, pipeline
+from subgroup_values.cli import cmd_dispatch
 from subgroup_values.counting import (
     Interval,
     Subgroup,
@@ -31,7 +35,13 @@ from subgroup_values.fields import FieldCtx, ext_field_build, is_prime, prime_fa
 from subgroup_values.lambda_scan import exceptional_lambdas
 from subgroup_values.parsing import parse_rational_expr
 from subgroup_values.polynomials import RationalFunc, UniPoly, rational_normalize
-from subgroup_values.reporting import STATUS_ERROR, STATUS_OK, STATUS_WINDOW_EMPTY, ReportRow
+from subgroup_values.reporting import (
+    STATUS_ERROR,
+    STATUS_OK,
+    STATUS_PERFECT_POWER,
+    STATUS_WINDOW_EMPTY,
+    ReportRow,
+)
 from subgroup_values.pipeline import (
     exponent_set,
     reduce_perfect_power,
@@ -582,3 +592,41 @@ def test_sweep_reads_each_window_once_and_matches_counting_each_cell(monkeypatch
     for r in refused:
         assert (r.status, r.N) == (STATUS_ERROR, None)
         assert r.error == f"interval {r.u}+1..{r.u}+{r.H} leaves [0, {r.p}) and wrap is off"
+
+
+def test_sweep_keeps_the_bytes_of_every_kind_of_row(tmp_path, capsys):
+    # one cell per way a row is made: an unparseable ψ, a p that is not prime,
+    # a constant ψ, a perfect power, a degree above the scan's, p <= deg f +
+    # deg g, the scan cap, a T not dividing p - 1, a window leaving [0, p),
+    # H below 2, the support cap, an empty window, a repeated cell and shifted
+    # cells, with cells that meet two refusals at once; the stdout was recorded
+    # for each format and job count before the sweep kept each input as its
+    # value or its refusal
+    golden = json.loads((Path(__file__).parent / "data" / "sweep_rows.json").read_text())
+    cells = golden["cells"]
+    statuses = {r.status for r in run_sweep(cells)}
+    assert statuses == {STATUS_OK, STATUS_ERROR, STATUS_WINDOW_EMPTY, STATUS_PERFECT_POWER}
+    config = tmp_path / "cells.json"
+    config.write_text(json.dumps(cells))
+    assert [f"{fmt} --jobs {jobs}" for fmt in ("text", "csv", "json") for jobs in (1, 2)] == list(golden["stdout"])
+    for key, want in golden["stdout"].items():
+        fmt, jobs = key.split(" --jobs ")
+        assert cmd_dispatch(["sweep", "--config", str(config), "--format", fmt, "--jobs", jobs]) == 0
+        assert capsys.readouterr() == (want, ""), key
+
+
+def test_a_kept_refusal_keeps_a_short_traceback(monkeypatch):
+    # a refusal is kept once per group and raised again by every cell that
+    # needs it; each raise must start a fresh traceback
+    refusal = OrderDoesNotDivide("7 does not divide p - 1 = 30")
+
+    def subgroup(p, T):
+        if (p, T) == (31, 7):
+            raise refusal
+        return subgroup_of_order(p, T)
+
+    monkeypatch.setattr(pipeline, "subgroup_of_order", subgroup)
+    rows = run_sweep([{"p": 31, "psi": "x^2+x", "H": 3, "T": 7}] * 1000)
+    assert len(rows) == 1000
+    assert {(r.status, r.error, r.N) for r in rows} == {(STATUS_ERROR, str(refusal), None)}
+    assert len(traceback.extract_tb(refusal.__traceback__)) < 5

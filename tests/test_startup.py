@@ -122,3 +122,17 @@ def test_unknown_name_raises_attribute_error():
         subgroup_values.no_such_name
     with pytest.raises(ImportError):
         exec("from subgroup_values import no_such_name", {})
+
+
+def test_a_deferred_module_is_an_attribute_of_the_package():
+    r = _python("-c", (
+        "import sys\n"
+        "import subgroup_values\n"
+        "m = subgroup_values.pipeline\n"
+        "print(m is sys.modules['subgroup_values.pipeline'])\n"
+    ))
+    assert r.stdout == "True\n"
+    # the same lookup in this process, where the import already bound it
+    from subgroup_values import pipeline
+
+    assert subgroup_values.__getattr__("pipeline") is pipeline
