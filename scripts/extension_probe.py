@@ -10,7 +10,10 @@ the imports:
 - `rmul`: FieldCtx.rmul over F_{101^t} for t = 2, 4 and 6, on 2,000 seeded
   pairs of elements (microseconds per call);
 - `sextic`: the F_p scan of x^6+x^2+1 at p = 4409, whose fibers of degree 6
-  still run a distinct-degree factorization (seconds).
+  still run a distinct-degree factorization (seconds);
+- `power-root`: extract_power_root's refusal of g·x^16 over F_{3^2}, g a
+  generator of F_9*, which has no 16th root in any field of the extension
+  cap (seconds).
 
     python3 scripts/extension_probe.py [--samples N] [--src DIR ...]
 
@@ -54,6 +57,22 @@ RMUL = (
     "print((time.perf_counter() - t0) / 10000 * 1e6)\n"
 )
 
+POWER_ROOT = (
+    "import time\n"
+    "from subgroup_values.errors import DegreeTooLarge\n"
+    "from subgroup_values.factorization import extract_power_root\n"
+    "from subgroup_values.fields import ext_field_build\n"
+    "from subgroup_values.polynomials import UniPoly, rational_normalize\n"
+    "F9 = ext_field_build(3, 2)\n"
+    "g = next(a for a in F9.elements() if a != F9.zero_raw and F9.rpow(a, 4) != F9.one_raw)\n"
+    "psi = rational_normalize(UniPoly(F9, [F9.zero_raw] * 16 + [g]), UniPoly.one(F9))\n"
+    "t0 = time.perf_counter()\n"
+    "try:\n"
+    "    extract_power_root(psi, 16)\n"
+    "except DegreeTooLarge:\n"
+    "    print(time.perf_counter() - t0)\n"
+)
+
 PROBES = [
     ("max-ext x^2+x p=211 t=2 (s)", SCAN.format(expr="x^2+x", p=211, t=2)),
     ("max-ext x^3+x p=31 t=3 (s)", SCAN.format(expr="x^3+x", p=31, t=3)),
@@ -62,6 +81,7 @@ PROBES = [
     ("rmul F_101^4 (us/call)", RMUL.format(t=4)),
     ("rmul F_101^6 (us/call)", RMUL.format(t=6)),
     ("sextic x^6+x^2+1 p=4409 (s)", SCAN.format(expr="x^6+x^2+1", p=4409, t=1)),
+    ("power-root g*x^16 over F_3^2 (s)", POWER_ROOT),
 ]
 
 

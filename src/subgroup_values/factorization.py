@@ -45,6 +45,7 @@ from .polynomials import (
     _uscale,
     _ustrip,
     _usub,
+    _ytrim,
     rational_normalize,
 )
 
@@ -254,7 +255,7 @@ def embed_unipoly(f: UniPoly, dst: FieldCtx) -> UniPoly:
 
 def embed_bipoly(F: BiPoly, dst: FieldCtx) -> BiPoly:
     emb = get_embedding(F.ctx, dst)
-    return BiPoly(dst, {k: emb.map_raw(c) for k, c in F.terms.items()})
+    return BiPoly._from_rows(dst, [[emb.map_raw(c) for c in row] for row in F.rows])
 
 
 # --- bivariate machinery ----------------------------------------------------------
@@ -272,11 +273,8 @@ def _content_y(ctx, rows):
 
 
 def _primitive_y(ctx, rows):
-    """Divide a Y-view by its content; normalize the leading coefficient
-    polynomial to be monic."""
-    rows = list(rows)
-    while rows and not rows[-1]:
-        rows.pop()
+    """Divide a Y-view, its last row nonzero, by its content; normalize the
+    leading coefficient polynomial to be monic."""
     if not rows:
         return rows
     cont = _content_y(ctx, rows)
@@ -300,8 +298,7 @@ def _pseudo_rem_y(ctx, A, B):
         R = [_umul(ctx, c, lcB) for c in R]
         for i in range(dB + 1):
             R[shift + i] = _usub(ctx, R[shift + i], _umul(ctx, lcR, B[i]))
-        while R and not R[-1]:
-            R.pop()
+        _ytrim(R)
     return R
 
 
@@ -311,13 +308,10 @@ def _gcd_y(F: BiPoly, G: BiPoly) -> BiPoly:
     Precondition: deg_y F >= deg_y G, as for its one caller's F and F_Y.
     """
     ctx = F.ctx
-    A = F.to_y_view()
-    B = G.to_y_view()
+    A, B = F.rows, G.rows
     while B:
-        R = _pseudo_rem_y(ctx, A, B)
-        A, B = B, _primitive_y(ctx, R)
-    A = _primitive_y(ctx, A)
-    return BiPoly.from_y_view(ctx, A)
+        A, B = B, _primitive_y(ctx, _pseudo_rem_y(ctx, A, B))
+    return BiPoly._from_rows(ctx, _primitive_y(ctx, A))
 
 
 def _pad(ctx, lst, prec):
@@ -378,7 +372,7 @@ def _hensel_find_factor(F: BiPoly, x0):
     """
     ctx = F.ctx
     G = F.shift_x(x0)
-    rows = G.to_y_view()
+    rows = G.rows
     n = len(rows) - 1
     prec = 2 * G.deg_x + 1
     z = ctx.zero_raw
@@ -439,16 +433,16 @@ def _hensel_find_factor(F: BiPoly, x0):
             for jj, dc in enumerate(D):
                 prefix[k][jj][c] = ctx.radd(prefix[k][jj][c], dc)
 
-    # subset recombination; a true factor corresponds to a sub-product
+    # subset recombination; a true factor corresponds to a sub-product. No
+    # candidate is constant: its top row is lc_series, nonzero as lc_Y(G)
+    # has X-degree below prec, times the lifted factors' top rows, 1 as
+    # they are monic of Y-degree >= 1; _primitive_y keeps that Y-degree.
     for size in range(1, r // 2 + 1):
         for S in itertools.combinations(range(r), size):
             cand = [lc_series]
             for i in S:
                 cand = _spoly_mul(ctx, cand, lifted[i], prec)
-            cand_rows = _primitive_y(ctx, [_ustrip(ctx, s) for s in cand])
-            C = BiPoly.from_y_view(ctx, cand_rows)
-            if C.is_constant():
-                continue
+            C = BiPoly._from_rows(ctx, _primitive_y(ctx, [_ustrip(ctx, s) for s in cand]))
             if G.try_divide(C) is not None:
                 return C.shift_x(ctx.rneg(x0))
     return None
@@ -458,7 +452,7 @@ def _fibers(F: BiPoly):
     """(x0, F(x0, Y)) in elements() order, skipping each x0 where the
     Y-leading coefficient vanishes, so every fiber keeps degree deg_y."""
     ctx = F.ctx
-    rows = F.to_y_view()
+    rows = F.rows
     lc = rows[-1]
     for x0 in ctx.elements():
         if not ctx.is_zero_raw(_ueval(ctx, lc, x0)):
@@ -490,16 +484,19 @@ def _origin_line(F: BiPoly):
     a = -F_X(0, 0)/F_Y(0, 0), else None. Precondition: F(0, Y) is a
     squarefree fiber of full degree, so F_Y(0, 0) != 0 once F(0, 0) = 0."""
     ctx = F.ctx
-    terms = F.terms
-    if F.deg_y < 2 or (0, 0) in terms:
+    rows = F.rows
+    z = ctx.zero_raw
+    f00, f10 = (rows[0] + [z, z])[:2]  # F(0, 0) and F_X(0, 0)
+    if len(rows) < 3 or not ctx.is_zero_raw(f00):
         return None
-    a = ctx.rneg(ctx.rmul(terms.get((1, 0), ctx.zero_raw), ctx.rinv(terms[(0, 1)])))
-    on_line = {}
-    for (i, j), c in terms.items():
-        on_line[i + j] = ctx.radd(on_line.get(i + j, ctx.zero_raw), ctx.rmul(c, ctx.rpow(a, j)))
-    if any(not ctx.is_zero_raw(v) for v in on_line.values()):
-        return None
-    return BiPoly(ctx, {(0, 1): ctx.one_raw, (1, 0): ctx.rneg(a)})
+    a = ctx.rneg(ctx.rmul(f10, ctx.rinv(rows[1][0])))
+    on_line = [z] * (len(rows) + max(map(len, rows)))  # F(X, aX)
+    aj = ctx.one_raw
+    for j, row in enumerate(rows):
+        for k, c in enumerate(row, j):
+            on_line[k] = ctx.radd(on_line[k], ctx.rmul(c, aj))
+        aj = ctx.rmul(aj, a)
+    return None if _ustrip(ctx, on_line) else BiPoly(ctx, {(0, 1): 1, (1, 0): ctx.rneg(a)})
 
 
 def _complete_squarefree_factorization(F: BiPoly):
@@ -535,34 +532,23 @@ def _factor_via_extension(F: BiPoly):
     if len(factors) == 1:
         return None
     factors.sort(key=lambda h: h.key())
-    index = {h.key(): h for h in factors}
-    q0 = ctx.q
-    start = factors[0]
-    orbit = [start]
-    seen = {start.key()}
-    cur = start
+    orbit = [factors[0]]
     while True:
-        cur = BiPoly(big, {k: big.rpow(c, q0) for k, c in cur.terms.items()})
-        cur = cur.grlex_monic()
-        if cur.key() in seen:
+        # the Frobenius image c -> c^q of the last conjugate
+        rows = [[big.rpow(c, ctx.q) for c in row] for row in orbit[-1].rows]
+        cur = BiPoly._from_rows(big, rows).grlex_monic()
+        if cur in orbit:
             break
-        if cur.key() not in index:
+        if cur not in factors:
             raise AssertionError("conjugate escaped the factor list")
         orbit.append(cur)
-        seen.add(cur.key())
     if len(orbit) == len(factors):
         return None
-    prod = orbit[0]
-    for h in orbit[1:]:
-        prod = prod * h
-    prod = prod.grlex_monic()
-    down = {}
-    for k, c in prod.terms.items():
-        dc = emb.descend_raw(c)
-        if dc is None:
-            raise AssertionError("orbit product not defined over the base field")
-        down[k] = dc
-    return BiPoly(ctx, down)
+    prod = functools.reduce(operator.mul, orbit).grlex_monic()
+    down = [[emb.descend_raw(c) for c in row] for row in prod.rows]
+    if any(None in row for row in down):
+        raise AssertionError("orbit product not defined over the base field")
+    return BiPoly._from_rows(ctx, down)
 
 
 def find_proper_factor(F: BiPoly):
@@ -607,20 +593,20 @@ def find_proper_factor(F: BiPoly):
         return None
 
     if F.deg_y <= 0:
-        _, pairs = _u_factor(ctx, F.to_y_view()[0])
+        _, pairs = _u_factor(ctx, F.rows[0])
         if len(pairs) == 1 and pairs[0][1] == 1:
             return None
-        return BiPoly.from_y_view(ctx, [pairs[0][0]])
+        return BiPoly._from_rows(ctx, [pairs[0][0]])
     if F.deg_x <= 0:
         w = find_proper_factor(F.swap_vars())
         return w.swap_vars() if w is not None else None
 
-    cy = _content_y(ctx, F.to_y_view())
+    cy = _content_y(ctx, F.rows)
     if len(cy) > 1:
-        return BiPoly.from_y_view(ctx, [cy])
-    cx = _content_y(ctx, F.swap_vars().to_y_view())
+        return BiPoly._from_rows(ctx, [cy])
+    cx = _content_y(ctx, F.swap_vars().rows)
     if len(cx) > 1:
-        return BiPoly.from_y_view(ctx, [cx]).swap_vars()
+        return BiPoly._from_rows(ctx, [cx]).swap_vars()
 
     FY = F.derivative_y()
     if FY.is_zero():
@@ -774,19 +760,19 @@ def extract_power_root(psi: RationalFunc, n: int) -> RationalFunc:
     num_root, den_root = roots
     a = psi.num.lc
     for u in range(1, MAX_EXT_DEGREE // ctx.t + 1):
+        # a != 0 has an n-th root in F_Q, Q = q^u, iff a^((Q-1)/gcd(n, Q-1)) = 1
+        Q = ctx.q**u
+        if ctx.rpow(a, (Q - 1) // math.gcd(n, Q - 1)) != ctx.one_raw:
+            continue
         target = ext_field_build(ctx.p, ctx.t * u) if u > 1 else ctx
         emb = get_embedding(ctx, target)
         a_up = emb.map_raw(a)
-        # roots of Z^n - a in the target field
+        # the first root of Z^n - a in the target field, which has one
         zpoly = [target.rneg(a_up)] + [target.zero_raw] * (n - 1) + [target.one_raw]
-        roots = _u_roots(target, zpoly)
-        if roots:
-            b = roots[0]
-            numl = [emb.map_raw(c) for c in num_root]
-            denl = [emb.map_raw(c) for c in den_root]
-            num = UniPoly(target, _uscale(target, numl, b))
-            den = UniPoly(target, denl)
-            return rational_normalize(num, den)
+        b = _u_roots(target, zpoly)[0]
+        num = UniPoly(target, _uscale(target, [emb.map_raw(c) for c in num_root], b))
+        den = UniPoly(target, [emb.map_raw(c) for c in den_root])
+        return rational_normalize(num, den)
     raise DegreeTooLarge(
         f"no degree-{n} root of the leading coefficient within the extension cap"
     )

@@ -73,6 +73,7 @@ from .fields import FieldCtx, FieldElem, ext_field_build
 from .polynomials import (
     BiPoly,
     RationalFunc,
+    _uadd,
     _uderiv,
     _ueval,
     _uextgcd,
@@ -98,25 +99,16 @@ def build_sym_poly(psi: RationalFunc, lam) -> BiPoly:
     if ctx.is_zero_raw(lam_raw):
         raise ZeroLambda("λ = 0 is excluded by definition")
     if ctx == psi.ctx:
-        f, g = psi.num, psi.den
+        f, g = psi.num.coeffs, psi.den.coeffs
     else:
-        f = embed_unipoly(psi.num, ctx)
-        g = embed_unipoly(psi.den, ctx)
-    terms = {}
-    for i, a in enumerate(f.coeffs):
-        if ctx.is_zero_raw(a):
-            continue
-        for j, b in enumerate(g.coeffs):
-            if ctx.is_zero_raw(b):
-                continue
-            v = ctx.rmul(a, b)
-            # + a_i b_j X^i Y^j  (from f(X) g(Y))
-            k = (i, j)
-            terms[k] = ctx.radd(terms.get(k, ctx.zero_raw), v)
-            # - λ a_i b_j X^j Y^i  (from λ f(Y) g(X))
-            k = (j, i)
-            terms[k] = ctx.rsub(terms.get(k, ctx.zero_raw), ctx.rmul(lam_raw, v))
-    return BiPoly(ctx, terms)
+        f = embed_unipoly(psi.num, ctx).coeffs
+        g = embed_unipoly(psi.den, ctx).coeffs
+    # the coefficient of Y^j is g_j f(X) - λ f_j g(X); where g_j or f_j is
+    # zero, the other side is the row as _uscale returns it
+    nl = ctx.rneg(lam_raw)
+    sides = ((_uscale(ctx, f, gj), _uscale(ctx, g, ctx.rmul(nl, fj)))
+             for fj, gj in itertools.zip_longest(f, g, fillvalue=ctx.zero_raw))
+    return BiPoly._from_rows(ctx, [_uadd(ctx, a, b) if a and b else a or b for a, b in sides])
 
 
 class LambdaWitness(NamedTuple):

@@ -324,8 +324,9 @@ def _trace(psi: RationalFunc, G: Subgroup, exp: ExponentSet, levels: LevelSelect
     rt_ok = Fraction(len(best_pairs)) >= rt_lower
 
     support = support_set(exp.ell, exp.m)
-    sym = build_sym_poly(psi, best_lam)
-    b_vec = tuple(int(sym.terms.get(pair, 0)) for pair in support.pairs)
+    rows = build_sym_poly(psi, best_lam).rows
+    b_vec = tuple(int(rows[j][i]) if j < len(rows) and i < len(rows[j]) else 0
+                  for i, j in support.pairs)
     inst = SmallResidueInstance(
         p, b_vec, tuple(levels.levels[pair] for pair in support.pairs)
     )

@@ -2,14 +2,17 @@
 
 Coefficients are stored in raw form (see fields); the module-private _u*
 helpers work on plain lists of raws so factorization and lifting loops avoid
-object overhead. They are the one polynomial layer: fields also builds and
-inverts in F_{p^t} with them over F_p, and a BiPoly's Y-view is a list of
-such raw lists, one per power of Y. UniPoly takes raw coefficients as given
-(from_ints converts ints); BiPoly sends an int coefficient through
-ctx.from_int and keeps any other value as a raw, which over F_p changes no
-raw, an int in [0, p). Degree of the zero polynomial is the NEG_INF
-sentinel, which keeps max/min degree formulas total.
+object overhead. They are the one polynomial layer: fields builds and
+inverts in F_{p^t} with them over F_p, a UniPoly stores one such list, and
+a BiPoly, a polynomial in F_q[X][Y], stores one per power of Y (its Y-view)
+and runs its arithmetic on them row by row. UniPoly takes raw coefficients
+as given (from_ints converts ints); BiPoly(ctx, terms) sends an int
+coefficient through ctx.from_int and keeps any other value as a raw, which
+over F_p changes no raw, an int in [0, p). Degree of the zero polynomial is
+the NEG_INF sentinel, which keeps max/min degree formulas total.
 """
+
+import itertools
 
 from .errors import (
     BothZero,
@@ -24,11 +27,12 @@ from .fields import NEG_INF, FieldCtx, FieldElem, _mulmod, _power
 # --- raw-list univariate helpers ----------------------------------------------
 #
 # Over F_p (ctx.t == 1) a raw is a plain int, so the inner-loop kernels
-# _umul, _udivmod, _ueval and _upowmod branch once on ctx.t at the top and
-# run plain int arithmetic mod p, returning lists equal element for element
-# to the generic loop's, with its exceptions; the generic loop serves
-# F_{p^t}, t > 1. Every power runs fields._power, every Horner scheme _ueval,
-# and _upowmod's F_p product is fields._mulmod, the kernel of FieldCtx.rmul.
+# _uadd, _usub, _uscale, _umul, _udivmod, _ueval and _upowmod branch once on
+# ctx.t at the top and run plain int arithmetic mod p, returning lists equal
+# element for element to the generic loop's, with its exceptions; the
+# generic loop serves F_{p^t}, t > 1. Every power runs fields._power, every
+# Horner scheme _ueval, and _upowmod's F_p product is fields._mulmod, the
+# kernel of FieldCtx.rmul.
 
 
 def _ustrip(ctx, f):
@@ -38,25 +42,19 @@ def _ustrip(ctx, f):
 
 
 def _uadd(ctx, a, b):
-    n = max(len(a), len(b))
-    z = ctx.zero_raw
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else z
-        y = b[i] if i < len(b) else z
-        out.append(ctx.radd(x, y))
-    return _ustrip(ctx, out)
+    if ctx.t == 1:
+        p = ctx.p
+        return _ustrip(ctx, [(x + y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+    pairs = itertools.zip_longest(a, b, fillvalue=ctx.zero_raw)
+    return _ustrip(ctx, [ctx.radd(x, y) for x, y in pairs])
 
 
 def _usub(ctx, a, b):
-    n = max(len(a), len(b))
-    z = ctx.zero_raw
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else z
-        y = b[i] if i < len(b) else z
-        out.append(ctx.rsub(x, y))
-    return _ustrip(ctx, out)
+    if ctx.t == 1:
+        p = ctx.p
+        return _ustrip(ctx, [(x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+    pairs = itertools.zip_longest(a, b, fillvalue=ctx.zero_raw)
+    return _ustrip(ctx, [ctx.rsub(x, y) for x, y in pairs])
 
 
 def _uneg(ctx, a):
@@ -66,6 +64,9 @@ def _uneg(ctx, a):
 def _uscale(ctx, a, c):
     if ctx.is_zero_raw(c):
         return []
+    if ctx.t == 1:
+        p = ctx.p
+        return [x * c % p for x in a]
     return [ctx.rmul(x, c) for x in a]
 
 
@@ -363,184 +364,177 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 # --- BiPoly ---------------------------------------------------------------------
 
 
-class BiPoly:
-    """Sparse bivariate polynomial as a map (i, j) -> nonzero raw coefficient.
+def _ytrim(rows):
+    """rows without their trailing zero rows, popped in place."""
+    while rows and not rows[-1]:
+        rows.pop()
+    return rows
 
-    A coefficient given as an int goes through ctx.from_int, so -3 is
-    accepted; any other value is taken as a raw element of ctx unchecked.
-    Zero coefficients are dropped.
+
+class BiPoly:
+    """Polynomial in F_q[X][Y], stored as its Y-view: rows[j], the coefficient
+    of Y^j, is a stripped raw list of the _u* layer, and the last row is
+    nonzero, so the zero polynomial has no rows. `terms`, the map (i, j) ->
+    nonzero coefficient of X^i Y^j, is built from the rows on each read.
+
+    BiPoly(ctx, terms) takes such a map. A coefficient given as an int goes
+    through ctx.from_int, so -3 is accepted; any other value is taken as a
+    raw element of ctx unchecked. Zero coefficients are dropped.
     """
 
-    __slots__ = ("ctx", "terms", "deg_x", "deg_y", "total_degree")
+    __slots__ = ("ctx", "rows")
 
     def __init__(self, ctx: FieldCtx, terms=None):
+        rows = []
+        for (i, j), c in (terms or {}).items():
+            rows += [[] for _ in range(j + 1 - len(rows))]
+            rows[j] += [ctx.zero_raw] * (i + 1 - len(rows[j]))
+            rows[j][i] = ctx.from_int(c) if isinstance(c, int) else c
         self.ctx = ctx
-        tm = {}
-        if terms:
-            for (i, j), c in terms.items():
-                if isinstance(c, int):
-                    c = ctx.from_int(c)
-                if not ctx.is_zero_raw(c):
-                    tm[(i, j)] = c
-        self.terms = tm
-        if tm:
-            self.deg_x = max(i for i, _ in tm)
-            self.deg_y = max(j for _, j in tm)
-            self.total_degree = max(i + j for i, j in tm)
-        else:
-            self.deg_x = NEG_INF
-            self.deg_y = NEG_INF
-            self.total_degree = NEG_INF
+        self.rows = _ytrim([_ustrip(ctx, row) for row in rows])
+
+    @classmethod
+    def _from_rows(cls, ctx, rows) -> "BiPoly":
+        """The BiPoly on rows the _u* helpers have stripped, kept without a
+        copy; trailing zero rows are dropped."""
+        F = object.__new__(cls)
+        F.ctx, F.rows = ctx, _ytrim(rows)
+        return F
+
+    @classmethod
+    def from_y_view(cls, ctx, rows) -> "BiPoly":
+        """Inverse of to_y_view; zero coefficients and rows may appear anywhere."""
+        return cls._from_rows(ctx, [_ustrip(ctx, list(row)) for row in rows])
+
+    def to_y_view(self) -> list:
+        """A copy of the rows; the zero polynomial gives [[]]."""
+        return [list(row) for row in self.rows] or [[]]
+
+    @property
+    def terms(self) -> dict:
+        zero = self.ctx.is_zero_raw
+        return {(i, j): c for j, row in enumerate(self.rows) for i, c in enumerate(row)
+                if not zero(c)}
+
+    @property
+    def deg_x(self):
+        return max(map(len, self.rows)) - 1 if self.rows else NEG_INF
+
+    @property
+    def deg_y(self):
+        return len(self.rows) - 1 if self.rows else NEG_INF
+
+    @property
+    def total_degree(self):
+        rows = self.rows
+        return max([len(row) + j for j, row in enumerate(rows) if row]) - 1 if rows else NEG_INF
 
     def is_zero(self):
-        return not self.terms
+        return not self.rows
 
     def is_constant(self):
-        return all(i == 0 and j == 0 for i, j in self.terms)
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        ctx = self.ctx
-        for k, c in other.terms.items():
-            out[k] = ctx.radd(out.get(k, ctx.zero_raw), c)
-        return BiPoly(ctx, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        ctx = self.ctx
-        for k, c in other.terms.items():
-            out[k] = ctx.rsub(out.get(k, ctx.zero_raw), c)
-        return BiPoly(ctx, out)
-
-    def __mul__(self, other: "BiPoly"):
-        self._check(other)
-        ctx = self.ctx
-        out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                v = ctx.rmul(c1, c2)
-                if k in out:
-                    out[k] = ctx.radd(out[k], v)
-                else:
-                    out[k] = v
-        return BiPoly(ctx, out)
-
-    def scale(self, c):
-        """Every coefficient times the raw element c."""
-        ctx = self.ctx
-        return BiPoly(ctx, {k: ctx.rmul(v, c) for k, v in self.terms.items()})
+        return self.total_degree <= 0
 
     def _check(self, other):
         if self.ctx != other.ctx:
             raise CtxMismatch("polynomials over different fields")
 
-    def eval_raw(self, x_raw, y_raw):
-        """Exact evaluation: Horner in Y over the Y-view rows' values at x."""
+    def _rowwise(self, other, op):
+        self._check(other)
         ctx = self.ctx
-        return _ueval(ctx, [_ueval(ctx, row, x_raw) for row in self.to_y_view()], y_raw)
+        pairs = itertools.zip_longest(self.rows, other.rows, fillvalue=())
+        return BiPoly._from_rows(ctx, [op(ctx, a, b) for a, b in pairs])
+
+    def __add__(self, other):
+        return self._rowwise(other, _uadd)
+
+    def __sub__(self, other):
+        return self._rowwise(other, _usub)
+
+    def __mul__(self, other: "BiPoly"):
+        """One _umul under Y -> X^w, w past the X-degree of the product."""
+        self._check(other)
+        ctx, z = self.ctx, self.ctx.zero_raw
+        if not self.rows or not other.rows:
+            return BiPoly(ctx)
+        w = max(map(len, self.rows)) + max(map(len, other.rows)) - 1
+        a, b = ([c for row in F.rows[:-1] for c in row + [z] * (w - len(row))] + F.rows[-1]
+                for F in (self, other))
+        prod = _umul(ctx, a, b)
+        return BiPoly._from_rows(ctx, [_ustrip(ctx, prod[k:k + w]) for k in range(0, len(prod), w)])
+
+    def scale(self, c):
+        """Every coefficient times the raw element c."""
+        ctx = self.ctx
+        return BiPoly._from_rows(ctx, [_uscale(ctx, row, c) for row in self.rows])
+
+    def eval_raw(self, x_raw, y_raw):
+        """Exact evaluation: Horner in Y over the rows' values at x."""
+        ctx = self.ctx
+        return _ueval(ctx, [_ueval(ctx, row, x_raw) for row in self.rows], y_raw)
 
     def eval(self, x, y) -> FieldElem:
-        x = self.ctx.el(x)
-        y = self.ctx.el(y)
-        return FieldElem(self.ctx, self.eval_raw(x.raw, y.raw))
-
-    def to_y_view(self) -> list:
-        """Coefficients as polynomials in X, indexed by the power of Y: one
-        stripped raw list of the _u* layer per row, [] for a zero row. The
-        zero polynomial gives [[]]; any other ends in a nonzero row."""
-        ny = 0 if self.is_zero() else self.deg_y
-        rows = [[] for _ in range(ny + 1)]
-        z = self.ctx.zero_raw
-        for (i, j), c in self.terms.items():
-            row = rows[j]
-            while len(row) <= i:
-                row.append(z)
-            row[i] = c
-        return rows
-
-    @classmethod
-    def from_y_view(cls, ctx, rows) -> "BiPoly":
-        """Inverse of to_y_view; zero coefficients and rows may appear anywhere."""
-        terms = {}
-        for j, row in enumerate(rows):
-            for i, c in enumerate(row):
-                if not ctx.is_zero_raw(c):
-                    terms[(i, j)] = c
-        return cls(ctx, terms)
+        el = self.ctx.el
+        return FieldElem(self.ctx, self.eval_raw(el(x).raw, el(y).raw))
 
     def swap_vars(self) -> "BiPoly":
-        return BiPoly(self.ctx, {(j, i): c for (i, j), c in self.terms.items()})
+        ctx = self.ctx
+        cols = itertools.zip_longest(*self.rows, fillvalue=ctx.zero_raw)
+        return BiPoly._from_rows(ctx, [_ustrip(ctx, list(col)) for col in cols])
 
     def shift_x(self, a) -> "BiPoly":
         """Substitute X -> X + a for a raw element a."""
         ctx = self.ctx
-        return BiPoly.from_y_view(ctx, [_ushift(ctx, r, a) for r in self.to_y_view()])
+        return BiPoly._from_rows(ctx, [_ushift(ctx, row, a) for row in self.rows])
 
     def derivative_y(self) -> "BiPoly":
-        ctx = self.ctx
-        out = {}
-        for (i, j), c in self.terms.items():
-            if j >= 1:
-                v = ctx.rmul(c, ctx.from_int(j))
-                if not ctx.is_zero_raw(v):
-                    out[(i, j - 1)] = v
-        return BiPoly(ctx, out)
+        ctx, rows = self.ctx, self.rows
+        dy = [_uscale(ctx, rows[j], ctx.from_int(j)) for j in range(1, len(rows))]
+        return BiPoly._from_rows(ctx, dy)
 
     def grlex_lead(self):
-        """Leading (monomial, coeff) under graded lex with X > Y."""
-        if not self.terms:
+        """Leading (monomial, coeff) under graded lex with X > Y: the top term
+        of some row, since a row's top term leads the row on both keys."""
+        if not self.rows:
             raise ZeroPolynomial("zero polynomial has no leading term")
-        k = max(self.terms, key=lambda ij: (ij[0] + ij[1], ij[0]))
-        return k, self.terms[k]
+        tops = ((len(row) - 1, j) for j, row in enumerate(self.rows) if row)
+        i, j = max(tops, key=lambda ij: (ij[0] + ij[1], ij[0]))
+        return (i, j), self.rows[j][i]
 
     def grlex_monic(self) -> "BiPoly":
         _, c = self.grlex_lead()
-        if c == self.ctx.one_raw:
-            return self
-        return self.scale(self.ctx.rinv(c))
+        return self if c == self.ctx.one_raw else self.scale(self.ctx.rinv(c))
 
     def try_divide(self, divisor: "BiPoly"):
-        """Exact quotient self / divisor, or None when it does not divide."""
+        """Exact quotient self / divisor, or None when it does not divide: long
+        division in Y over F_q[X], each quotient row the exact quotient of the
+        remainder's top row by the divisor's last row."""
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroPolynomial("division by zero polynomial")
-        ctx = self.ctx
-        (di, dj), dc = divisor.grlex_lead()
-        dc_inv = ctx.rinv(dc)
-        rem = dict(self.terms)
-        quo = {}
-        while rem:
-            k = max(rem, key=lambda ij: (ij[0] + ij[1], ij[0]))
-            i, j = k
-            if i < di or j < dj:
+        ctx, b = self.ctx, divisor.rows
+        db = len(b) - 1
+        rem = list(self.rows)
+        quo = [[] for _ in range(len(rem) - db)]
+        while len(rem) > db:
+            q, r = _udivmod(ctx, rem.pop(), b[-1])
+            if r:
                 return None
-            qk = (i - di, j - dj)
-            qc = ctx.rmul(rem[k], dc_inv)
-            quo[qk] = qc
-            for (ti, tj), tc in divisor.terms.items():
-                kk = (ti + qk[0], tj + qk[1])
-                v = ctx.rsub(rem.get(kk, ctx.zero_raw), ctx.rmul(qc, tc))
-                if ctx.is_zero_raw(v):
-                    rem.pop(kk, None)
-                else:
-                    rem[kk] = v
-        return BiPoly(ctx, quo)
+            shift = len(rem) - db
+            quo[shift] = q
+            for i in range(db):
+                rem[shift + i] = _usub(ctx, rem[shift + i], _umul(ctx, q, b[i]))
+            _ytrim(rem)
+        return None if rem else BiPoly._from_rows(ctx, quo)
 
     def key(self):
         return tuple(sorted((i, j, self.ctx.raw_key(c)) for (i, j), c in self.terms.items()))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, BiPoly)
-            and self.ctx == other.ctx
-            and self.terms == other.terms
-        )
+        return isinstance(other, BiPoly) and self.ctx == other.ctx and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.ctx.p, self.ctx.t, tuple(sorted(self.terms.items()))))
+        return hash((self.ctx.p, self.ctx.t, tuple(map(tuple, self.rows))))
 
     def __repr__(self):
         return f"BiPoly({sorted(self.terms.items())!r} over {self.ctx!r})"

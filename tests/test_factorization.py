@@ -731,3 +731,14 @@ def test_extract_power_root_refuses_past_the_cap_over_an_extension():
     with pytest.raises(DegreeTooLarge) as refusal:
         extract_power_root(psi, 16)
     assert str(refusal.value) == "no degree-16 root of the leading coefficient within the extension cap"
+
+
+def test_extract_power_root_refuses_within_a_budget(budget):
+    # The refusal of g·x^16 over F_{3^2}, g a generator of F_9*, reads
+    # g^((Q-1)/gcd(16, Q-1)) once per field F_Q of the cap instead of
+    # finding the roots of Z^16 - g in each.
+    F9 = ext_field_build(3, 2)
+    g = next(a for a in F9.elements() if a != F9.zero_raw and F9.rpow(a, 4) != F9.one_raw)
+    psi = rational_normalize(UniPoly(F9, [F9.zero_raw] * 16 + [g]), UniPoly.one(F9))
+    with budget(0.5), pytest.raises(DegreeTooLarge):
+        extract_power_root(psi, 16)
