@@ -58,6 +58,9 @@ INVOCATIONS = [
     ["lattice-find", "-p", "7032383", "--b", "4270832,6429289,5459639",
      "--V", "101331/4,71241,81923/2"],
     ["lattice-find", "-p", "21", "--b", "1,8,5", "--V", "6,9,11"],
+    ["perfect-power", "--psi", "3*x^16", "-p", "7", "-T", "3"],
+    ["points", "--poly", "2003*y^2+y", "--H", "1000"],
+    ["points", "--poly", "2003*y", "--H", "1000"],
 ]
 
 

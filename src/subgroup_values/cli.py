@@ -6,8 +6,9 @@ identical invocations produce byte-identical output.
 
 The algebra core is imported here, as `import subgroup_values` loads it
 anyway. Each handler imports the other layers it runs, so only `trace`,
-`sweep`, `exponents` and `perfect-power -T` load the pipeline and its process
-pool.
+`sweep` and `exponents` load the pipeline and its process pool. Each
+subcommand names its handler on its own parser, and every command writes
+through `_write`.
 """
 
 import argparse
@@ -59,11 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp):
+    def common(sp, handler):
         sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
         sp.add_argument("--output", default=None, help="write to this path instead of stdout")
         sp.add_argument("--seed", type=int, default=0,
                         help="accepted and ignored; the randomized internals use a fixed seed")
+        sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("count", help="count interval values landing in a subgroup")
     sp.add_argument("--psi", required=True)
@@ -71,75 +73,79 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-T", type=int, required=True)
     sp.add_argument("--interval", required=True, help="closed range a..b")
     sp.add_argument("--wrap", action="store_true")
-    common(sp)
+    common(sp, _cmd_count)
 
     sp = sub.add_parser("lambda-scan", help="exceptional multipliers of the symmetrized polynomial")
     sp.add_argument("--psi", required=True)
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("--max-ext", type=int, default=1)
-    common(sp)
+    common(sp, _cmd_lambda_scan)
 
     sp = sub.add_parser("lattice-find", help="small-residue multiplier from the lattice construction")
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("--b", required=True, help="comma-separated residues")
     sp.add_argument("--V", required=True, help="comma-separated bounds")
-    common(sp)
+    common(sp, _cmd_lattice_find)
 
     sp = sub.add_parser("perfect-power", help="largest n with psi = phi^n over the closure")
     sp.add_argument("--psi", required=True)
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("-T", type=int, default=None, help="also reduce a subgroup order")
-    common(sp)
+    common(sp, _cmd_perfect_power)
 
     sp = sub.add_parser("exponents", help="the exponent family for degrees (d, e)")
     sp.add_argument("-d", type=int, required=True)
     sp.add_argument("-e", type=int, required=True)
-    common(sp)
+    common(sp, _cmd_exponents)
 
     sp = sub.add_parser("trace", help="replay the proof pipeline on one instance")
     sp.add_argument("--psi", required=True)
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("-T", type=int, required=True)
     sp.add_argument("--H", type=int, required=True)
-    common(sp)
+    common(sp, _cmd_trace)
 
     sp = sub.add_parser("sweep", help="evaluate a grid of instances")
     sp.add_argument("--config", default=None, help="JSON file with a list of cells")
     sp.add_argument("--standard", action="store_true", help="run the built-in corpus")
     sp.add_argument("--jobs", type=int, default=1)
-    common(sp)
+    common(sp, _cmd_sweep)
 
     sp = sub.add_parser("kshort", help="shortest interval covering H consecutive values")
     sp.add_argument("--psi", required=True)
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("--H", type=int, required=True)
     sp.add_argument("--wrap", action="store_true")
-    common(sp)
+    common(sp, _cmd_kshort)
 
     sp = sub.add_parser("vinogradov", help="count power-sum solutions J_{d,k}(H)")
     sp.add_argument("-d", type=int, required=True)
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("--H", type=int, required=True)
     sp.add_argument("--budget", type=int, default=10**9)
-    common(sp)
+    common(sp, _cmd_vinogradov)
 
     sp = sub.add_parser("points", help="integer points of a plane curve in a box")
     sp.add_argument("--poly", required=True, help="integer polynomial in x and y")
     sp.add_argument("--H", type=int, required=True)
-    common(sp)
+    common(sp, _cmd_points)
 
     return top
 
 
-def _emit_pairs(pairs, a: argparse.Namespace) -> None:
-    from .reporting import mapping_to_output
-
-    text = mapping_to_output(pairs, a.format)
+def _write(text: str, a: argparse.Namespace) -> None:
+    """The one writer of every command: to --output when given, else stdout."""
     if a.output:
         with open(a.output, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_pairs(pairs, a: argparse.Namespace) -> None:
+    from .reporting import mapping_to_output
+
+    _write(mapping_to_output(pairs, a.format), a)
 
 
 def _cmd_count(a):
@@ -194,10 +200,8 @@ def _cmd_perfect_power(a):
         root = factorization.extract_power_root(psi, n)
         pairs.append(("root", root.text() if root.ctx.t == 1 else f"<degree-{root.ctx.t} extension>"))
     if a.T is not None:
-        from .pipeline import reduce_perfect_power
-
-        _, reduced = reduce_perfect_power(psi, a.T)
-        pairs.append(("reduced_order", reduced))
+        # membership of ψ = φ^n in a subgroup of order T puts φ in one of order n T
+        pairs.append(("reduced_order", n * a.T))
     _emit_pairs(pairs, a)
 
 
@@ -258,9 +262,7 @@ def _cmd_sweep(a):
         for i, cell in enumerate(cells):
             _check_cell(i, cell)
     rows = run_sweep(cells, jobs=max(a.jobs, 1))
-    text = emit_report(rows, fmt=a.format, path=a.output)
-    if not a.output:
-        sys.stdout.write(text)
+    _write(emit_report(rows, fmt=a.format), a)
 
 
 def _cmd_kshort(a):
@@ -290,20 +292,6 @@ def _cmd_points(a):
     )
 
 
-_HANDLERS = {
-    "count": _cmd_count,
-    "lambda-scan": _cmd_lambda_scan,
-    "lattice-find": _cmd_lattice_find,
-    "perfect-power": _cmd_perfect_power,
-    "exponents": _cmd_exponents,
-    "trace": _cmd_trace,
-    "sweep": _cmd_sweep,
-    "kshort": _cmd_kshort,
-    "vinogradov": _cmd_vinogradov,
-    "points": _cmd_points,
-}
-
-
 def cmd_dispatch(argv) -> int:
     parser = build_parser()
     try:
@@ -311,7 +299,7 @@ def cmd_dispatch(argv) -> int:
     except SystemExit as ex:
         return ex.code if isinstance(ex.code, int) else 2
     try:
-        _HANDLERS[ns.subcommand](ns)
+        ns.handler(ns)
     except (SubgroupValuesError, ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1

@@ -6,8 +6,6 @@ import json
 from fractions import Fraction
 from typing import NamedTuple
 
-CSV_HEADER = ["p", "d", "e", "H", "T", "u", "N", "bound", "ratio", "lambda_count", "status", "error"]
-
 STATUS_OK = "ok"
 STATUS_WINDOW_EMPTY = "window-empty"
 STATUS_PERFECT_POWER = "perfect-power"
@@ -64,36 +62,21 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def rows_to_csv(rows) -> str:
-    cells = ([format_value(getattr(row, k)) for k in CSV_HEADER] for row in rows)
-    return _csv_text(CSV_HEADER, cells)
-
-
-def rows_to_json(rows) -> str:
-    out = [{k: _json_value(getattr(row, k)) for k in CSV_HEADER} for row in rows]
-    return json.dumps(out, indent=2) + "\n"
-
-
-def rows_to_text(rows) -> str:
-    lines = []
-    for row in rows:
-        cells = [f"{k}={format_value(getattr(row, k))}" for k in CSV_HEADER]
-        lines.append(" ".join(cells))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def emit_report(rows, fmt: str = "csv", path: str | None = None) -> str:
-    """Render rows in the chosen format; write to path when given.
+    """Render `ReportRow`s in the chosen format, one column per field in
+    field order; write to path when given.
 
     Identical rows yield byte-identical output.
     """
-    rows = list(rows)
+    fields = ReportRow._fields
     if fmt == "csv":
-        text = rows_to_csv(rows)
+        text = _csv_text(fields, ([format_value(v) for v in row] for row in rows))
     elif fmt == "json":
-        text = rows_to_json(rows)
+        out = [{k: _json_value(v) for k, v in zip(fields, row)} for row in rows]
+        text = json.dumps(out, indent=2) + "\n"
     elif fmt == "text":
-        text = rows_to_text(rows)
+        lines = (" ".join(f"{k}={format_value(v)}" for k, v in zip(fields, row)) for row in rows)
+        text = "".join(line + "\n" for line in lines)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if path is not None:

@@ -12,7 +12,7 @@ from subgroup_values.errors import ParseError, ZeroDenominator
 from subgroup_values.fields import FieldCtx
 from subgroup_values.parsing import parse_int_bipoly, parse_poly_expr, parse_rational_expr
 from subgroup_values.polynomials import RationalFunc, UniPoly
-from subgroup_values.reporting import ReportRow, emit_report
+from subgroup_values.reporting import ReportRow, emit_report, mapping_to_output
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -133,6 +133,13 @@ def test_emit_report_json_fields():
     data = json.loads(emit_report(_demo_rows(), fmt="json"))
     assert data[0]["p"] == 13 and data[0]["N"] == 1
     assert data[1]["bound"] is None and data[1]["status"] == "window-empty"
+
+
+def test_emit_report_and_mapping_to_output_refuse_an_unknown_format():
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        emit_report(_demo_rows(), fmt="xml")
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        mapping_to_output([("p", 7)], "xml")
 
 
 # --- end-to-end CLI -----------------------------------------------------------
@@ -328,6 +335,14 @@ def test_output_file_gets_the_bytes_stdout_would_get(tmp_path, capsys, fmt):
     for argv in (
         ["count", "--psi", "(x^2+1)/(x+2)", "-p", "31", "-T", "5", "--interval", "4..20"],
         ["lambda-scan", "--psi", "x^3+x", "-p", "31"],
+        ["lattice-find", "-p", "11", "--b", "1,5", "--V", "3,4"],
+        ["perfect-power", "--psi", "3*x^16", "-p", "7", "-T", "3"],
+        ["exponents", "-d", "2", "-e", "0"],
+        ["trace", "--psi", "x^2+x", "-p", "31", "--H", "3", "-T", "5"],
+        ["sweep", "--standard"],
+        ["kshort", "--psi", "x^2", "-p", "17", "--H", "2"],
+        ["vinogradov", "-d", "2", "-k", "2", "--H", "4"],
+        ["points", "--poly", "x^2+y^2-25", "--H", "5"],
     ):
         argv += ["--format", fmt]
         assert cmd_dispatch(argv) == 0

@@ -16,11 +16,13 @@ from subgroup_values.counting import (
 from subgroup_values.errors import (
     AllWindowsContainPoles,
     BudgetExceeded,
+    FieldMismatch,
     OrderDoesNotDivide,
     PreconditionViolated,
     ZeroLambda,
 )
-from subgroup_values.fields import FieldCtx
+from subgroup_values.fields import FieldCtx, ext_field_build
+from subgroup_values.parsing import parse_int_bipoly
 from subgroup_values.polynomials import UniPoly, rational_normalize
 
 F7 = FieldCtx(7)
@@ -263,6 +265,31 @@ def test_integral_points_large_box_path():
     assert r.reference is not None
     # (X - 5)Y: the column x = 5 vanishes identically
     assert integral_points_in_box({(1, 1): 1, (0, 1): -5}, 1000).count == 2001
+
+
+@pytest.mark.parametrize("poly", ["2003*y^2+y", "2003*y"])
+def test_integral_points_columns_that_the_prime_divides(poly):
+    # At H = 1000 the columns are solved mod P = 2003, which divides a
+    # coefficient: 2003*y^2+y leaves y after the top coefficient is stripped,
+    # and the column 2003*y vanishes mod P at every x.
+    terms = parse_int_bipoly(poly)
+    brute = sum(1 for x in range(1001) for y in range(1001)
+                if sum(c * x**i * y**j for (i, j), c in terms.items()) == 0)
+    assert integral_points_in_box(terms, 1000).count == brute == 1001
+
+
+def test_congruent_pairs_and_counts_refuse_a_foreign_field_or_a_long_interval():
+    sq = R(F7, [0, 0, 1])
+    with pytest.raises(PreconditionViolated, match="^H must be < p$"):
+        congruent_pairs(sq, 2, 7, 7)
+    over_49 = R(ext_field_build(7, 2), [0, 0, 1])
+    for psi, p in ((sq, 11), (over_49, 7)):
+        with pytest.raises(FieldMismatch, match="^ψ lives over a different prime field$"):
+            congruent_pairs(psi, 2, 3, p)
+    for psi, G in ((sq, subgroup_of_order(11, 5)), (over_49, subgroup_of_order(7, 3))):
+        with pytest.raises(FieldMismatch,
+                           match="^ψ and the subgroup live over different prime fields$"):
+            count_values_in_subgroup(psi, Interval(0, 3), G)
 
 
 def test_integral_points_reference_magnitude():

@@ -84,6 +84,7 @@ def _imported_by_cli(*argv):
 @pytest.mark.parametrize("argv", [
     ("lambda-scan", "--psi", "x^2+x", "-p", "7"),
     ("lattice-find", "-p", "11", "--b", "1,5", "--V", "3,4"),
+    ("perfect-power", "--psi", "3*x^16", "-p", "7", "-T", "3"),
 ])
 def test_light_commands_leave_the_pipeline_and_process_pool_unloaded(argv):
     imported = _imported_by_cli(*argv)
