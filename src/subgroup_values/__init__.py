@@ -14,7 +14,7 @@ which compiles one small __new__ at import, except two slotted classes that
 write out their frozen methods: FieldElem, which a tuple base would give +,
 len and repetition, and SmallResidueInstance, whose derived floors a tuple
 could not keep out of equality and repr. The other layers bring heavier
-parts of the standard library: the process pool with pipeline, json and csv
+parts of the standard library: multiprocessing with pipeline, json and csv
 with reporting, fractions and decimal with lattices and surd. They are
 imported when one of their names in _DEFERRED, or the module itself, is
 first read (PEP 562); each name is the same object as the submodule's

@@ -6,7 +6,7 @@ identical invocations produce byte-identical output.
 
 The algebra core is imported here, as `import subgroup_values` loads it
 anyway. Each handler imports the other layers it runs, so only `trace`,
-`sweep` and `exponents` load the pipeline and its process pool. Each
+`sweep` and `exponents` load the pipeline and `multiprocessing`. Each
 subcommand names its handler on its own parser, and every command writes
 through `_write`.
 """

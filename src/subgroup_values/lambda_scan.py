@@ -267,11 +267,22 @@ def _ratio_table(ctx: FieldCtx, f, g) -> list:
         for x in range(2, p):
             inv.append(-(p // x) * inv[p % x] % p)
         return [v * inv[u] % p if u else None for u, v in zip(fx, gx)]
-    ratios = []
-    for x0 in ctx.elements():
-        fx = _ueval(ctx, f, x0)
-        gx = _ueval(ctx, g, x0)
-        ratios.append(None if ctx.is_zero_raw(fx) else ctx.rmul(gx, ctx.rinv(fx)))
+    # Montgomery's batch inversion: prefix products of the nonzero f(x0), one
+    # rinv of the last, then a walk back that peels one f(x0) off per point
+    points = [(_ueval(ctx, f, x0), _ueval(ctx, g, x0)) for x0 in ctx.elements()]
+    prefix = []
+    acc = ctx.one_raw
+    for fx, _ in points:
+        prefix.append(acc)
+        if not ctx.is_zero_raw(fx):
+            acc = ctx.rmul(acc, fx)
+    inv = ctx.rinv(acc)  # acc is a product of nonzero elements
+    ratios = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        fx, gx = points[i]
+        if not ctx.is_zero_raw(fx):
+            ratios[i] = ctx.rmul(gx, ctx.rmul(inv, prefix[i]))
+            inv = ctx.rmul(inv, fx)
     return ratios
 
 

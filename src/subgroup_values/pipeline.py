@@ -11,10 +11,11 @@ F(x, y) = G(x, y) + z p at every congruent pair.
 import itertools
 import math
 # Imported with the module, not inside run_sweep: the package loads this
-# module only when a pipeline name is first used, and a sweep's first
-# jobs > 1 call would otherwise pay the process pool's ~10 ms of imports.
-from concurrent.futures import ProcessPoolExecutor
+# module only when a pipeline name is first used, and deferring them to a
+# sweep's first jobs > 1 call measured slower end to end.
+import multiprocessing
 from fractions import Fraction
+from multiprocessing.connection import wait
 from typing import NamedTuple
 
 from .counting import (
@@ -483,6 +484,71 @@ def _evaluate_group(p: int, psi_text: str, cells: list) -> list:
     return rows
 
 
+def _sweep_worker(conn) -> None:
+    """A sweep's worker process: the rows of each (p, ψ, cells) task read
+    from conn, or the exception that computing them raised, sent back, until
+    it reads None."""
+    for task in iter(conn.recv, None):
+        try:
+            out = _evaluate_group(*task)
+        except Exception as ex:
+            out = ex
+        conn.send(out)
+
+
+def _parallel_rows(tasks: list, jobs: int) -> list:
+    """The rows of every task, from min(jobs, len(tasks)) worker processes.
+    A worker gets the task of largest p left as soon as it is free, as a
+    group's scan is O(p). An exception raised in a worker is raised here; a
+    worker that dies raises RuntimeError. Every worker is joined before the
+    call returns or raises, and one still running a task is terminated."""
+    todo = list(tasks)  # in increasing (p, ψ), so pop() takes the largest p
+    workers = []
+    busy: dict = {}  # parent end of a worker's pipe -> the worker, while it runs a task
+    rows = []
+    try:
+        for _ in range(min(jobs, len(todo))):
+            conn, child = multiprocessing.Pipe()
+            proc = multiprocessing.Process(target=_sweep_worker, args=(child,))
+            proc.start()
+            child.close()  # so a worker that dies leaves its pipe at EOF
+            workers.append((conn, proc))
+            conn.send(todo.pop())
+            busy[conn] = proc
+        while busy:
+            ready = wait([*busy, *(proc.sentinel for proc in busy.values())])
+            for conn in [c for c, proc in busy.items() if c in ready or proc.sentinel in ready]:
+                proc = busy.pop(conn)
+                # a worker exits only on None, so one that has exited with
+                # nothing to read, or left a pipe at EOF, has died
+                try:
+                    out = conn.recv() if conn.poll() else None
+                except (EOFError, OSError):
+                    out = None
+                if out is None:
+                    proc.join()
+                    raise RuntimeError(f"a sweep worker exited with code {proc.exitcode}")
+                if isinstance(out, Exception):
+                    raise out
+                rows += out
+                if todo:
+                    conn.send(todo.pop())
+                    busy[conn] = proc
+    finally:
+        for conn, proc in workers:
+            if conn in busy:
+                proc.terminate()
+            else:
+                try:
+                    conn.send(None)
+                except OSError:  # the worker has died
+                    pass
+        for conn, proc in workers:
+            proc.join()
+            conn.close()
+    return rows
+
+
 def run_sweep(cells, jobs: int = 1) -> list:
     """One report row per cell; failures are recorded per row and never abort
     the sweep. Rows are sorted by (p, d, e, H, T, u) so output is independent
@@ -491,12 +557,10 @@ def run_sweep(cells, jobs: int = 1) -> list:
     for c in cells:
         groups.setdefault((int(c["p"]), str(c["psi"])), []).append(dict(c))
     tasks = [(p, psi, grp) for (p, psi), grp in sorted(groups.items())]
-    rows = []
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for out in pool.map(_evaluate_group, *zip(*tasks)):
-                rows.extend(out)
+        rows = _parallel_rows(tasks, jobs)
     else:
+        rows = []
         for t in tasks:
             rows.extend(_evaluate_group(*t))
     rows.sort(key=ReportRow.sort_key)

@@ -231,6 +231,30 @@ def test_ratio_table_holds_g_over_f_at_every_point(p):
         assert _ratio_table(ctx, f, g) == want, expr
 
 
+@pytest.mark.parametrize("p, t", ((5, 2), (3, 3), (7, 2)))
+def test_extension_ratio_table_inverts_once(p, t, monkeypatch):
+    # the batch inversion gives the per-point rinv table, None where f has a
+    # root, from one inversion in F_{p^t}
+    rinv = FieldCtx.rinv
+    inverted = []
+
+    def counted(self, a):
+        if self.t > 1:
+            inverted.append(a)
+        return rinv(self, a)
+
+    for expr in MAPS:
+        ctx, f, g, _ = _inputs(expr, p, t)
+        want = _ref_ratio_table(ctx, f, g)
+        with monkeypatch.context() as m:
+            m.setattr(FieldCtx, "rinv", counted)
+            inverted.clear()
+            assert _ratio_table(ctx, f, g) == want, expr
+        assert len(inverted) == 1, expr
+        if expr == "x^2+x":
+            assert want.count(None) == 2
+
+
 @pytest.mark.parametrize("p", (7, 11, 31))
 def test_sieve_matches_the_generic_loop_on_every_lambda(p):
     settled = 0

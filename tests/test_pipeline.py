@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 import random
 import sys
 import traceback
@@ -317,6 +319,60 @@ def test_sweep_pool_matches_serial_under_each_start_method(method):
         "print(run_sweep(cells, jobs=2) == run_sweep(cells, jobs=1))\n"
     ))
     assert r.stdout == "True\n"
+
+
+TWO_GROUPS = [
+    {"p": 13, "psi": "x^2+x", "H": 3, "T": 4},
+    {"p": 31, "psi": "x^2+x", "H": 3, "T": 5},
+    {"p": 31, "psi": "x^2+x", "H": 3, "T": 6},
+]
+
+
+def test_sweep_starts_no_more_workers_than_groups(monkeypatch):
+    started = []
+    start = multiprocessing.Process.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", counted)
+    serial = run_sweep(TWO_GROUPS, jobs=1)
+    assert started == []
+    assert run_sweep(TWO_GROUPS, jobs=16) == serial
+    assert len(started) == 2
+    # one group runs in this process, whatever jobs asks for
+    assert run_sweep(TWO_GROUPS[1:], jobs=2) == serial[1:]
+    assert len(started) == 2
+    assert multiprocessing.active_children() == []
+
+
+def _fail_at_p31(monkeypatch, fail):
+    evaluate = pipeline._evaluate_group
+
+    def failing(p, psi_text, cells):
+        if p == 31:
+            fail()
+        return evaluate(p, psi_text, cells)
+
+    monkeypatch.setattr(pipeline, "_evaluate_group", failing)
+
+
+def test_sweep_raises_the_exception_a_worker_raised(monkeypatch, budget):
+    def boom():
+        raise ValueError("boom")
+
+    _fail_at_p31(monkeypatch, boom)
+    with budget(30), pytest.raises(ValueError, match="^boom$"):
+        run_sweep(TWO_GROUPS, jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_names_the_exit_code_of_a_worker_that_died(monkeypatch, budget):
+    _fail_at_p31(monkeypatch, lambda: os._exit(3))
+    with budget(30), pytest.raises(RuntimeError, match="exited with code 3"):
+        run_sweep(TWO_GROUPS, jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 def _choose_lambda_by_walking_g(psi, H, G, exceptional):

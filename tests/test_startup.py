@@ -74,6 +74,18 @@ def test_no_layer_loads_dataclasses_or_inspect():
     assert r.stdout.strip() == "[]"
 
 
+def test_no_layer_loads_concurrent_futures():
+    # the sweep's workers are plain multiprocessing processes
+    r = _python("-c", (
+        "import importlib, sys\n"
+        "import subgroup_values\n"
+        f"for m in {DEFERRED_MODULES!r}:\n"
+        "    importlib.import_module('subgroup_values.' + m)\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    ))
+    assert r.stdout == "False\n"
+
+
 def _imported_by_cli(*argv):
     """Modules a `python -m subgroup_values` run imports, read off -X importtime."""
     r = _python("-X", "importtime", "-m", "subgroup_values", *argv)
@@ -91,6 +103,7 @@ def test_light_commands_leave_the_pipeline_and_process_pool_unloaded(argv):
     assert "subgroup_values.lambda_scan" in imported  # the log was read
     assert "subgroup_values.pipeline" not in imported
     assert "concurrent.futures" not in imported
+    assert "multiprocessing" not in imported
 
 
 def test_deferred_names_are_the_submodule_objects_and_listed():
