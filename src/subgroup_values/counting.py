@@ -19,7 +19,7 @@ from .errors import (
 )
 from .factorization import _u_roots
 from .fields import FieldCtx, check_prime, is_prime, prime_factors
-from .polynomials import RationalFunc, UniPoly, rational_normalize
+from .polynomials import RationalFunc, UniPoly, _ustrip
 
 
 @functools.lru_cache(maxsize=None)
@@ -144,7 +144,7 @@ def shortest_covering_interval(f, H: int, p: int, wrap: bool = False) -> int:
     if H >= p:
         raise PreconditionViolated("H must be < p")
     if isinstance(f, UniPoly):
-        f = rational_normalize(f, UniPoly.one(f.ctx))
+        f = RationalFunc(f, UniPoly.one(f.ctx))
     if f.ctx.p != p or f.ctx.t != 1:
         raise FieldMismatch("f lives over a different prime field")
     starts = range(p) if wrap else range(p - H)
@@ -240,9 +240,7 @@ def _roots_mod(coeffs: list, P: int) -> list:
     """Roots in F_P of a nonzero integer-coefficient polynomial, via the field
     factorization machinery."""
     ctx = FieldCtx(P)
-    f = [c % P for c in coeffs]
-    while f and f[-1] == 0:
-        f.pop()
+    f = _ustrip(ctx, [c % P for c in coeffs])
     if not f:
         return list(range(P))
     return _u_roots(ctx, f)

@@ -24,6 +24,7 @@ from .errors import (
     CtxMismatch,
     DegreeOutOfRange,
     DegreeTooLarge,
+    PreconditionViolated,
     ZeroPolynomial,
 )
 from .fields import MAX_EXT_DEGREE, FieldCtx, FieldElem, ext_field_build, prime_factors
@@ -46,7 +47,6 @@ from .polynomials import (
     _ustrip,
     _usub,
     _ytrim,
-    rational_normalize,
 )
 
 # --- univariate factorization over any ctx (raw-list internals) -----------------
@@ -746,14 +746,24 @@ def perfect_power_exponent(psi: RationalFunc) -> int:
 
 def extract_power_root(psi: RationalFunc, n: int) -> RationalFunc:
     """A rational phi with phi^n = psi; coefficients may need a field extension
-    when the leading coefficient is not an n-th power in the base field."""
+    when the leading coefficient is not an n-th power in the base field.
+    Refuses, with PreconditionViolated, an n < 1 or one that does not divide
+    the multiplicity of every factor of psi."""
+    if n < 1:
+        raise PreconditionViolated(f"the root degree n must be >= 1, got {n}")
     ctx = psi.ctx
     roots = []
     for poly in (psi.num, psi.den):
+        parts = _u_sqfree(ctx, _umonic(ctx, list(poly.coeffs)))
+        # the squarefree parts g^mult make up the whole degree
+        if sum(mult * (len(g) - 1) for g, mult in parts) != poly.degree:
+            raise AssertionError
         root = [ctx.one_raw]
-        for g, mult in _u_sqfree(ctx, _umonic(ctx, list(poly.coeffs))):
+        for g, mult in parts:
             if mult % n:
-                raise AssertionError
+                raise PreconditionViolated(
+                    f"n = {n} does not divide the multiplicity {mult} of a factor of ψ"
+                )
             for _ in range(mult // n):
                 root = _umul(ctx, root, g)
         roots.append(root)
@@ -772,7 +782,7 @@ def extract_power_root(psi: RationalFunc, n: int) -> RationalFunc:
         b = _u_roots(target, zpoly)[0]
         num = UniPoly(target, _uscale(target, [emb.map_raw(c) for c in num_root], b))
         den = UniPoly(target, [emb.map_raw(c) for c in den_root])
-        return rational_normalize(num, den)
+        return RationalFunc(num, den)
     raise DegreeTooLarge(
         f"no degree-{n} root of the leading coefficient within the extension cap"
     )

@@ -6,6 +6,9 @@ FieldElem wraps a raw value with its context for the public API; hot loops
 call the context methods on raws directly. F_{p^t} multiplies through
 _mulmod, and checks its modulus and inverts (_uextgcd) with the polynomials._u*
 helpers over F_p, the one polynomial layer; _power is the one power loop.
+A context sets its zero_raw and one_raw once, and _digit_tuples is the one
+walk of base-p digits, in raw_key order: FieldCtx.elements over F_{p^t} and
+ext_field_build's search for a modulus.
 """
 
 import functools
@@ -150,13 +153,20 @@ def _is_irreducible(base, f):
     return g == x
 
 
+def _digit_tuples(p: int, t: int):
+    """Every t-tuple of base-p digits, ascending place first, in increasing
+    order of the integer the digits name: the raw_key order of F_{p^t}."""
+    # product varies its last place fastest, raw_key its first
+    return (digs[::-1] for digs in itertools.product(range(p), repeat=t))
+
+
 # --- field contexts -----------------------------------------------------------
 
 
 class FieldCtx:
     """Immutable arithmetic context for F_{p^t}; every operation is pure."""
 
-    __slots__ = ("p", "t", "modulus", "q", "_tail", "_base")
+    __slots__ = ("p", "t", "modulus", "q", "zero_raw", "one_raw", "_tail", "_base")
 
     def __init__(self, p: int, t: int = 1, modulus=None):
         check_prime(p)
@@ -165,6 +175,8 @@ class FieldCtx:
         self.p = p
         self.t = t
         self.q = p**t
+        self.zero_raw = self.from_int(0)
+        self.one_raw = self.from_int(1)
         if t == 1:
             if modulus is not None:
                 raise ValueError("a prime field takes no modulus")
@@ -183,14 +195,6 @@ class FieldCtx:
             self._base = base
 
     # -- raw arithmetic (int for t == 1, tuple of ints otherwise) --
-
-    @property
-    def zero_raw(self):
-        return 0 if self.t == 1 else (0,) * self.t
-
-    @property
-    def one_raw(self):
-        return 1 if self.t == 1 else (1,) + (0,) * (self.t - 1)
 
     def from_int(self, n: int):
         n %= self.p
@@ -255,10 +259,7 @@ class FieldCtx:
     def elements(self):
         """All field elements in ascending raw_key order: range(p) over F_p,
         so a whole-field walk there pays no generator step per element."""
-        if self.t == 1:
-            return range(self.p)
-        # product varies its last place fastest, raw_key its first
-        return (digs[::-1] for digs in itertools.product(range(self.p), repeat=self.t))
+        return range(self.p) if self.t == 1 else _digit_tuples(self.p, self.t)
 
     def el(self, x) -> "FieldElem":
         """The element named by an int, reduced mod p, or, when t > 1, by a
@@ -361,13 +362,7 @@ def ext_field_build(p: int, t: int) -> FieldCtx:
         raise DegreeTooLarge(f"extension degree must be in 1..{MAX_EXT_DEGREE}, got {t}")
     if t == 1:
         return base
-    for n in range(p**t):
-        digs = []
-        rem = n
-        for _ in range(t):
-            digs.append(rem % p)
-            rem //= p
-        cand = digs + [1]
-        if _is_irreducible(base, cand):
-            return FieldCtx(p, t, tuple(cand))
+    for digs in _digit_tuples(p, t):
+        if _is_irreducible(base, [*digs, 1]):
+            return FieldCtx(p, t, (*digs, 1))
     raise AssertionError("no irreducible modulus found (unreachable)")

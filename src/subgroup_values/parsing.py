@@ -7,7 +7,7 @@ bivariate grammar (x and y, no division) used for point counting.
 
 from .errors import ParseError, ZeroDenominator
 from .fields import FieldCtx, _power
-from .polynomials import RationalFunc, UniPoly, rational_normalize
+from .polynomials import RationalFunc, UniPoly
 
 _OPS = set("+-*/^()")
 
@@ -129,7 +129,7 @@ def parse_poly_expr(text: str, p: int):
             raise ParseError("only one top-level '/' is allowed", end[2])
         if den.is_zero():
             raise ZeroDenominator("denominator parses to zero")
-        return rational_normalize(num, den)
+        return RationalFunc(num, den)
     end = parser.next()
     if end[0] != "end":
         raise ParseError("trailing input", end[2])
@@ -140,7 +140,7 @@ def parse_rational_expr(text: str, p: int) -> RationalFunc:
     """Like parse_poly_expr but always returns a rational function."""
     out = parse_poly_expr(text, p)
     if isinstance(out, UniPoly):
-        return rational_normalize(out, UniPoly.one(out.ctx))
+        return RationalFunc(out, UniPoly.one(out.ctx))
     return out
 
 

@@ -302,7 +302,7 @@ def _choose_lambda(psi: RationalFunc, values: list, G: Subgroup, exceptional: se
     if T * T <= p:
         lam = min(c for c in G.elements() if c not in exceptional)
     else:
-        lam = next(c for c in itertools.count(1) if pow(c, T, p) == 1 and c not in exceptional)
+        lam = next(c for c in itertools.count(1) if c in G and c not in exceptional)
     return lam, zeros * zeros
 
 
@@ -324,25 +324,18 @@ def _trace(psi: RationalFunc, G: Subgroup, exp: ExponentSet, levels: LevelSelect
     rt_lower = Fraction(max(count * count - 4 * m3 * count, 0), T)
     rt_ok = Fraction(len(best_pairs)) >= rt_lower
 
-    support = support_set(exp.ell, exp.m)
+    # levels.levels is keyed by the support's pairs, in support_set's order
     rows = build_sym_poly(psi, best_lam).rows
     b_vec = tuple(int(rows[j][i]) if j < len(rows) and i < len(rows[j]) else 0
-                  for i, j in support.pairs)
-    inst = SmallResidueInstance(
-        p, b_vec, tuple(levels.levels[pair] for pair in support.pairs)
-    )
+                  for i, j in levels.levels)
+    inst = SmallResidueInstance(p, b_vec, tuple(levels.levels.values()))
     v = find_small_residue_multiplier(inst)
 
-    F_terms = {}
-    for i, a in enumerate(psi.num.coeffs):
-        for j, b in enumerate(psi.den.coeffs):
-            if a and b:
-                F_terms[(i, j)] = signed_residue(v * a * b % p, p)
-    G_terms = {}
-    for j, a in enumerate(psi.num.coeffs):
-        for i, b in enumerate(psi.den.coeffs):
-            if a and b:
-                G_terms[(i, j)] = signed_residue(v * best_lam * a * b % p, p)
+    F_terms, G_terms = {}, {}
+    for (i, a), (j, b) in itertools.product(enumerate(psi.num.coeffs), enumerate(psi.den.coeffs)):
+        if a and b:
+            F_terms[(i, j)] = signed_residue(v * a * b % p, p)
+            G_terms[(j, i)] = signed_residue(v * best_lam * a * b % p, p)
 
     pairs_z = []
     for (x, y) in best_pairs:
@@ -497,43 +490,45 @@ def _sweep_worker(conn) -> None:
 
 
 def _parallel_rows(tasks: list, jobs: int) -> list:
-    """The rows of every task, from min(jobs, len(tasks)) worker processes.
-    A worker gets the task of largest p left as soon as it is free, as a
-    group's scan is O(p). An exception raised in a worker is raised here; a
-    worker that dies raises RuntimeError. Every worker is joined before the
-    call returns or raises, and one still running a task is terminated."""
-    todo = list(tasks)  # in increasing (p, ψ), so pop() takes the largest p
+    """The rows of every task, from min(jobs, len(tasks)) worker processes,
+    in task order, as run_sweep's serial loop makes them, so rows that tie
+    under its sort come out as they do serially. A worker gets the task of
+    largest p left as soon as it is free, as a group's scan is O(p). An
+    exception raised in a worker is raised here; a worker that dies raises
+    RuntimeError. Every worker is joined before the call returns or raises,
+    and one still running a task is terminated.
+
+    Only the pipes are waited on. The parent closes its copy of each child
+    end right after the start, so a worker that dies leaves its pipe at EOF,
+    and recv raises there rather than block."""
+    todo = list(range(len(tasks)))  # tasks are in increasing (p, ψ), so pop() takes the largest p
     workers = []
-    busy: dict = {}  # parent end of a worker's pipe -> the worker, while it runs a task
-    rows = []
+    busy: dict = {}  # parent end of a worker's pipe -> (the worker, the index of its task)
+    done = [None] * len(tasks)  # each task's rows, by its index
     try:
         for _ in range(min(jobs, len(todo))):
             conn, child = multiprocessing.Pipe()
             proc = multiprocessing.Process(target=_sweep_worker, args=(child,))
             proc.start()
-            child.close()  # so a worker that dies leaves its pipe at EOF
+            child.close()
             workers.append((conn, proc))
-            conn.send(todo.pop())
-            busy[conn] = proc
+            i = todo.pop()
+            conn.send(tasks[i])
+            busy[conn] = proc, i
         while busy:
-            ready = wait([*busy, *(proc.sentinel for proc in busy.values())])
-            for conn in [c for c, proc in busy.items() if c in ready or proc.sentinel in ready]:
-                proc = busy.pop(conn)
-                # a worker exits only on None, so one that has exited with
-                # nothing to read, or left a pipe at EOF, has died
+            for conn in wait(list(busy)):
+                proc, i = busy.pop(conn)
                 try:
-                    out = conn.recv() if conn.poll() else None
+                    done[i] = conn.recv()
                 except (EOFError, OSError):
-                    out = None
-                if out is None:
                     proc.join()
-                    raise RuntimeError(f"a sweep worker exited with code {proc.exitcode}")
-                if isinstance(out, Exception):
-                    raise out
-                rows += out
+                    raise RuntimeError(f"a sweep worker exited with code {proc.exitcode}") from None
+                if isinstance(done[i], Exception):
+                    raise done[i]
                 if todo:
-                    conn.send(todo.pop())
-                    busy[conn] = proc
+                    i = todo.pop()
+                    conn.send(tasks[i])
+                    busy[conn] = proc, i
     finally:
         for conn, proc in workers:
             if conn in busy:
@@ -546,7 +541,7 @@ def _parallel_rows(tasks: list, jobs: int) -> list:
         for conn, proc in workers:
             proc.join()
             conn.close()
-    return rows
+    return [row for rows in done for row in rows]
 
 
 def run_sweep(cells, jobs: int = 1) -> list:

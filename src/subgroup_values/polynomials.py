@@ -10,6 +10,8 @@ as given (from_ints converts ints); BiPoly(ctx, terms) sends an int
 coefficient through ctx.from_int and keeps any other value as a raw, which
 over F_p changes no raw, an int in [0, p). Degree of the zero polynomial is
 the NEG_INF sentinel, which keeps max/min degree formulas total.
+RationalFunc(f, g) strips the common factor of f and g and makes g monic;
+rational_normalize is another name for it.
 """
 
 import itertools
@@ -606,11 +608,11 @@ class RationalFunc:
         return FieldElem(self.ctx, v)
 
     def scale(self, c) -> "RationalFunc":
-        return rational_normalize(self.num * c, self.den)
+        return RationalFunc(self.num * c, self.den)
 
     def shift(self, a) -> "RationalFunc":
         """Substitute X -> X + a."""
-        return rational_normalize(self.num.shift(a), self.den.shift(a))
+        return RationalFunc(self.num.shift(a), self.den.shift(a))
 
     def text(self) -> str:
         if self.den.degree == 0 and self.den.is_monic():
@@ -631,7 +633,5 @@ class RationalFunc:
         return f"RationalFunc({self.text()!r}, p={self.ctx.p})"
 
 
-def rational_normalize(f: UniPoly, g: UniPoly) -> RationalFunc:
-    """f/g with the common factor stripped and the denominator made monic."""
-    return RationalFunc(f, g)
+rational_normalize = RationalFunc  # the public name of the constructor
 

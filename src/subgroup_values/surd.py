@@ -102,7 +102,7 @@ class Surd:
     def as_fraction(self) -> Fraction:
         if self.index == 1:
             return self.radicand
-        k = iroot(math.floor(self.radicand), self.index)
+        k = self.floor()
         if Fraction(k) ** self.index == self.radicand:
             return Fraction(k)
         raise ValueError(f"{self!r} is irrational")

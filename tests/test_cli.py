@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from subgroup_values import cli
 from subgroup_values.cli import cmd_dispatch
 from subgroup_values.errors import ParseError, ZeroDenominator
 from subgroup_values.fields import FieldCtx
@@ -351,3 +352,18 @@ def test_output_file_gets_the_bytes_stdout_would_get(tmp_path, capsys, fmt):
         assert cmd_dispatch([*argv, "--output", str(out)]) == 0
         assert capsys.readouterr() == ("", "")
         assert want and out.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["count", "--psi", "x^2+x", "-p", "13", "-T", "4", "--interval", "1..3"], 0),
+    (["count", "--psi", "x^2", "-p", "6", "-T", "2", "--interval", "1..3"], 1),
+    (["count", "--psi", "x^2", "-p"], 2),
+], ids=["ok", "refusal", "usage"])
+def test_main_exits_with_the_dispatch_code_and_prints_its_bytes(monkeypatch, capsys, argv, code):
+    assert cmd_dispatch(argv) == code
+    want = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["subgroup_values", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == code
+    assert capsys.readouterr() == want

@@ -11,6 +11,7 @@ from subgroup_values.errors import (
     ConstantFunction,
     DegreeOutOfRange,
     DegreeTooLarge,
+    PreconditionViolated,
     ZeroPolynomial,
 )
 from subgroup_values.factorization import (
@@ -742,3 +743,16 @@ def test_extract_power_root_refuses_within_a_budget(budget):
     psi = rational_normalize(UniPoly(F9, [F9.zero_raw] * 16 + [g]), UniPoly.one(F9))
     with budget(0.5), pytest.raises(DegreeTooLarge):
         extract_power_root(psi, 16)
+
+
+@pytest.mark.parametrize("n, message", [
+    (-2, "the root degree n must be >= 1, got -2"),
+    (0, "the root degree n must be >= 1, got 0"),
+    (3, "n = 3 does not divide the multiplicity 2 of a factor of ψ"),
+])
+def test_extract_power_root_refuses_a_degree_that_does_not_divide(n, message):
+    psi = parse_rational_expr("x^2", 7)
+    with pytest.raises(PreconditionViolated) as exc:
+        extract_power_root(psi, n)
+    assert str(exc.value) == message
+    assert extract_power_root(psi, 2) == parse_rational_expr("x", 7)

@@ -234,3 +234,46 @@ def test_inputs_outside_the_limits_are_refused(call, error, message):
         call()
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+# ext_field_build(p, t).modulus for every p^t <= 10^12 below, recorded before
+# FieldCtx.elements and the modulus search shared one walk of base-p digits
+PINNED_MODULI = {
+    (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1), (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (3, 2): (1, 0, 1), (3, 3): (1, 2, 0, 1), (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1), (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (5, 2): (2, 0, 1), (5, 3): (1, 1, 0, 1), (5, 4): (2, 0, 0, 0, 1),
+    (5, 5): (1, 4, 0, 0, 0, 1), (5, 6): (2, 1, 0, 0, 0, 0, 1),
+    (7, 2): (1, 0, 1), (7, 3): (2, 0, 0, 1), (7, 4): (1, 1, 0, 0, 1),
+    (7, 5): (3, 1, 0, 0, 0, 1), (7, 6): (2, 0, 0, 0, 0, 0, 1),
+    (11, 2): (1, 0, 1), (11, 3): (4, 1, 0, 1), (11, 4): (2, 1, 0, 0, 1),
+    (11, 5): (2, 0, 0, 0, 0, 1), (11, 6): (2, 1, 0, 0, 0, 0, 1),
+    (13, 2): (2, 0, 1), (13, 3): (2, 0, 0, 1), (13, 4): (2, 0, 0, 0, 1),
+    (13, 5): (2, 4, 0, 0, 0, 1), (13, 6): (2, 0, 0, 0, 0, 0, 1),
+    (101, 2): (2, 0, 1), (101, 3): (1, 1, 0, 1), (101, 4): (2, 0, 0, 0, 1),
+    (101, 5): (2, 0, 0, 0, 0, 1),
+}
+
+
+def test_ext_field_build_keeps_its_pinned_moduli():
+    pairs = [(p, t) for p in (2, 3, 5, 7, 11, 13, 101) for t in range(2, 7) if p**t <= 10**12]
+    assert pairs == list(PINNED_MODULI)
+    for (p, t), modulus in PINNED_MODULI.items():
+        assert ext_field_build(p, t).modulus == modulus, (p, t)
+
+
+@pytest.mark.parametrize("p, t", [(7, 1), (2, 3), (5, 2), (3, 4)])
+def test_field_constants_and_the_digit_walk(p, t):
+    ctx = FieldCtx(p) if t == 1 else ext_field_build(p, t)
+    assert ctx.zero_raw == ctx.from_int(0) and ctx.is_zero_raw(ctx.zero_raw)
+    assert ctx.one_raw == ctx.from_int(1) and ctx.one.raw == ctx.one_raw
+    assert ctx.rmul(ctx.one_raw, ctx.from_int(3)) == ctx.from_int(3)
+    els = list(ctx.elements())
+    assert [ctx.raw_key(e) for e in els] == list(range(p**t))
+    assert len(set(els)) == p**t
+
+
+def test_a_field_element_times_an_int_is_a_type_error():
+    with pytest.raises(TypeError):
+        FieldCtx(7).el(3) * 3

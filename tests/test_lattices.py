@@ -761,3 +761,10 @@ def test_integer_validation_matches_surd_products():
         inst = SmallResidueInstance(p, (1,) * len(V), V)
         assert _refusal(SmallResidueInstance.validate, inst) == message
         assert _refusal(_validate_by_surd_products, inst) == message
+
+
+def test_a_multiplier_sharing_a_factor_with_p_satisfies_nothing():
+    inst = SmallResidueInstance(11, (1, 5), (3, 4))
+    assert inst.satisfied_by(2)  # |2| <= 3 and |10| = 1 <= 4 mod 11
+    assert not inst.satisfied_by(11)
+    assert not inst.satisfied_by(22)

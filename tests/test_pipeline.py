@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import random
 import sys
+import time
 import traceback
 from collections import Counter
 from fractions import Fraction
@@ -54,6 +55,7 @@ from subgroup_values.pipeline import (
     value_count_bound,
     trace_proof,
 )
+from subgroup_values.surd import Surd
 
 
 def test_exponent_set_examples():
@@ -686,3 +688,114 @@ def test_a_kept_refusal_keeps_a_short_traceback(monkeypatch):
     assert len(rows) == 1000
     assert {(r.status, r.error, r.N) for r in rows} == {(STATUS_ERROR, str(refusal), None)}
     assert len(traceback.extract_tb(refusal.__traceback__)) < 5
+
+
+def test_a_window_with_no_constant_names_none():
+    # (d, e) = (1, 0) has rho = 1/2, so no constant c opens the window
+    with pytest.raises(WindowEmpty) as exc:
+        select_test_levels(2, 2, exponent_set(1, 0))
+    assert exc.value.effective_c is None
+
+
+def test_serial_sweep_reads_each_support_from_its_levels(monkeypatch):
+    calls = Counter()
+    support, floor = pipeline.support_set, Surd.floor
+
+    def counted_support(ell, m):
+        calls["support_set"] += 1
+        return support(ell, m)
+
+    def counted_floor(self):
+        calls["floor"] += 1
+        return floor(self)
+
+    monkeypatch.setattr(pipeline, "support_set", counted_support)
+    monkeypatch.setattr(Surd, "floor", counted_floor)
+    run_sweep(standard_sweep_cells())
+    # one support and one exact product check per level selection built
+    assert calls == {"support_set": 9, "floor": 9}
+
+
+def test_sweep_worker_answers_each_task_in_process():
+    conn, child = multiprocessing.Pipe()
+    task = (31, "x^2+x", TWO_GROUPS[1:])
+    no_order = (31, "x^2+x", [{"p": 31, "psi": "x^2+x", "H": 3}])
+    for message in (task, no_order, None):
+        conn.send(message)
+    pipeline._sweep_worker(child)
+    assert conn.recv() == pipeline._evaluate_group(*task)
+    error = conn.recv()
+    assert type(error) is KeyError and error.args == ("T",)
+    assert not conn.poll()
+    conn.close()
+    child.close()
+
+
+def test_sweep_waits_on_the_worker_pipes_alone(monkeypatch, budget):
+    waited = []
+    wait = pipeline.wait
+
+    def recorded(objects, timeout=None):
+        waited.extend(objects)
+        return wait(objects, timeout)
+
+    monkeypatch.setattr(pipeline, "wait", recorded)
+    with budget(30):
+        assert run_sweep(TWO_GROUPS, jobs=2) == run_sweep(TWO_GROUPS, jobs=1)
+    assert waited
+    assert all(isinstance(o, multiprocessing.connection.Connection) for o in waited)
+
+
+# Patched at module level, so that a worker started by spawn or forkserver,
+# which imports this script as __mp_main__, kills itself as a forked one does.
+_KILLED_WORKER_SCRIPT = """\
+import multiprocessing, os, signal, sys
+from subgroup_values import pipeline
+
+evaluate = pipeline._evaluate_group
+
+
+def dying(p, psi_text, cells):
+    if p == 31:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return evaluate(p, psi_text, cells)
+
+
+pipeline._evaluate_group = dying
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    try:
+        pipeline.run_sweep(pipeline.standard_sweep_cells(), jobs=2)
+    except RuntimeError as ex:
+        print(ex)
+    print(multiprocessing.active_children())
+"""
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_sweep_names_the_signal_that_killed_a_worker(tmp_path, budget, method):
+    script = tmp_path / "killed_worker.py"
+    script.write_text(_KILLED_WORKER_SCRIPT)
+    with budget(60):
+        r = _python(str(script), method)
+    assert r.stdout == "a sweep worker exited with code -9\n[]\n"
+
+
+def test_parallel_rows_that_tie_come_out_in_the_serial_order(monkeypatch, budget):
+    # both maps have (d, e) = (2, 0), so their rows tie under the sort, and
+    # their counts differ; x^2+x, sent first, finishes first here
+    cells = [{"p": 31, "psi": psi, "H": 3, "T": 6} for psi in ("x^2+x", "x^2+2*x")]
+    serial = run_sweep(cells)
+    assert [r.N for r in serial] == [0, 1]  # "x^2+2*x" < "x^2+x": its group runs first
+    evaluate = pipeline._evaluate_group
+
+    def held_back(p, psi_text, cells):
+        if psi_text == "x^2+2*x":
+            time.sleep(0.3)
+        return evaluate(p, psi_text, cells)
+
+    monkeypatch.setattr(pipeline, "_evaluate_group", held_back)
+    with budget(30):
+        assert run_sweep(cells, jobs=2) == serial
+    assert multiprocessing.active_children() == []

@@ -11,6 +11,7 @@ from subgroup_values.fields import NEG_INF, FieldCtx, ext_field_build
 from subgroup_values.polynomials import (
     BiPoly,
     UniPoly,
+    RationalFunc,
     poly_gcd,
     rational_normalize,
 )
@@ -150,3 +151,16 @@ def test_unipoly_text_roundtrip_basics():
     assert UniPoly.zero(F7).text() == "0"
     assert P(F7, 0, 1).text() == "x"
 
+
+
+def test_rational_normalize_is_the_constructor():
+    assert rational_normalize is RationalFunc
+
+
+def test_extension_unipoly_repr_and_the_monic_zero():
+    F25 = ext_field_build(5, 2)
+    f = UniPoly(F25, [(0, 1), (3, 4)])
+    assert repr(f) == "UniPoly([(0, 1), (3, 4)] over FieldCtx(F_5^2))"
+    zero = UniPoly.zero(F25)
+    assert zero.monic() == zero and zero.monic().is_zero()
+    assert f.monic().is_monic()

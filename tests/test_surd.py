@@ -134,3 +134,10 @@ def test_comparison_matches_fraction_powers(num, den, n, m, other):
         want = (left > right) - (left < right)
         got = (x < y, x <= y, x == y, x >= y, x > y)
         assert got == (want < 0, want <= 0, want == 0, want >= 0, want > 0)
+
+
+def test_surd_repr_and_float_equality():
+    assert repr(Surd(3)) == "Surd(3)"
+    assert repr(Surd(Fraction(2, 3), 2)) == "Surd(2/3)^(1/2)"
+    assert Surd(4, 2) == 2.0
+    assert Surd(2, 2) != 1.5
