@@ -61,6 +61,11 @@ INVOCATIONS = [
     ["perfect-power", "--psi", "3*x^16", "-p", "7", "-T", "3"],
     ["points", "--poly", "2003*y^2+y", "--H", "1000"],
     ["points", "--poly", "2003*y", "--H", "1000"],
+    ["kshort", "--psi", "(x^2+1)/(x+2)", "-p", "1009", "--H", "6", "--wrap"],
+    ["kshort", "--psi", "1/(x^2-1)", "-p", "101", "--H", "5"],
+    ["points", "--poly", "x*y", "--H", "1000"],
+    ["count", "--psi", "0", "-p", "7", "-T", "2", "--interval", "1..3", "--format", "json"],
+    ["count", "--psi", "0", "-p", "7", "-T", "2", "--interval", "1..3", "--format", "csv"],
 ]
 
 

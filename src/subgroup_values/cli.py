@@ -159,8 +159,8 @@ def _cmd_count(a):
         _emit_pairs([("N", n)], a)
     else:
         _emit_pairs(
-            [("p", a.p), ("d", psi.num.degree), ("e", psi.den.degree),
-             ("H", H), ("T", a.T), ("u", u), ("N", n)],
+            [("p", a.p), ("d", None if psi.num.is_zero() else psi.num.degree),
+             ("e", psi.den.degree), ("H", H), ("T", a.T), ("u", u), ("N", n)],
             a,
         )
 

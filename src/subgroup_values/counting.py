@@ -6,7 +6,7 @@ power-sum solution counts, congruent pairs, and integer points in boxes.
 import functools
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 from typing import NamedTuple
 
 from .errors import (
@@ -134,9 +134,10 @@ def _cover_length(values, p: int, wrap: bool) -> int:
 def shortest_covering_interval(f, H: int, p: int, wrap: bool = False) -> int:
     """Length of the shortest interval containing H consecutive values of f.
 
-    Scans every start u; windows containing a pole are skipped. With wrap=False
-    both the argument window and the value interval are ordinary integer
-    ranges; with wrap=True both are cyclic mod p.
+    Reads f once per point, x = 1, ..., p - 1 and then, with wrap, x = 0, ...,
+    H - 1, keeping the last H values; windows containing a pole are skipped.
+    With wrap=False both the argument window and the value interval are
+    ordinary integer ranges; with wrap=True both are cyclic mod p.
     """
     check_prime(p)
     if H < 1:
@@ -147,23 +148,18 @@ def shortest_covering_interval(f, H: int, p: int, wrap: bool = False) -> int:
         f = RationalFunc(f, UniPoly.one(f.ctx))
     if f.ctx.p != p or f.ctx.t != 1:
         raise FieldMismatch("f lives over a different prime field")
-    starts = range(p) if wrap else range(p - H)
+    xs = itertools.chain(range(1, p), range(H)) if wrap else range(1, p)
+    window = deque(maxlen=H)  # the values read since the last pole, at most H
     best = None
-    for u in starts:
-        values = []
-        ok = True
-        for i in range(1, H + 1):
-            x = (u + i) % p if wrap else u + i
-            v = f.eval_raw(x)
-            if v is None:
-                ok = False
-                break
-            values.append(v)
-        if not ok:
+    for v in map(f.eval_raw, xs):
+        if v is None:
+            window.clear()
             continue
-        k = _cover_length(values, p, wrap)
-        if best is None or k < best:
-            best = k
+        window.append(v)
+        if len(window) == H:
+            k = _cover_length(window, p, wrap)
+            if best is None or k < best:
+                best = k
     if best is None:
         raise AllWindowsContainPoles(f"every length-{H} window meets a pole of {f.text()}")
     return best
@@ -229,6 +225,21 @@ def _eval_int_bipoly(terms: dict, x: int, y: int) -> int:
     return sum(c * x**i * y**j for (i, j), c in terms.items())
 
 
+def _int_column(terms: dict, x: int) -> list:
+    """The integer coefficients over y of F(x, y), lowest degree first."""
+    col = [0] * (max(j for _, j in terms) + 1)
+    for (i, j), c in terms.items():
+        col[j] += c * x**i
+    return col
+
+
+def _int_horner(col: list, y: int) -> int:
+    acc = 0
+    for c in reversed(col):
+        acc = acc * y + c
+    return acc
+
+
 def _next_prime_above(n: int) -> int:
     c = n + 1
     while not is_prime(c):
@@ -237,8 +248,8 @@ def _next_prime_above(n: int) -> int:
 
 
 def _roots_mod(coeffs: list, P: int) -> list:
-    """Roots in F_P of a nonzero integer-coefficient polynomial, via the field
-    factorization machinery."""
+    """Roots in F_P of an integer-coefficient polynomial, via the field
+    factorization machinery; every residue when it vanishes mod P."""
     ctx = FieldCtx(P)
     f = _ustrip(ctx, [c % P for c in coeffs])
     if not f:
@@ -249,10 +260,11 @@ def _roots_mod(coeffs: list, P: int) -> list:
 def integral_points_in_box(F, H: int) -> BoxPointCount:
     """Exact count of integer points (x, y) in [0, H]^2 with F(x, y) = 0.
 
-    F is a dict {(i, j): integer coefficient}. Small boxes are scanned
-    directly; otherwise each column x is solved for y by root-finding modulo a
-    prime above 2H and every candidate verified in exact integer arithmetic.
-    The attached reference magnitude is reported for context only.
+    F is a dict {(i, j): integer coefficient}. Each column x is F(x, y) as a
+    polynomial in y. Small boxes try every y in [0, H]; larger ones try only
+    the column's roots modulo a prime above 2H. Every candidate is verified in
+    exact integer arithmetic. The attached reference magnitude is reported for
+    context only.
     """
     terms = _int_terms(F)
     if not terms:
@@ -261,31 +273,13 @@ def integral_points_in_box(F, H: int) -> BoxPointCount:
         raise PreconditionViolated("H must be in 0..10^6")
     n = max(i + j for i, j in terms)
 
+    small = (H + 1) ** 2 <= 10**6
+    P = None if small else _next_prime_above(2 * H + 1)
     count = 0
-    if (H + 1) ** 2 <= 10**6:
-        for x in range(H + 1):
-            col = {}
-            for (i, j), c in terms.items():
-                col[j] = col.get(j, 0) + c * x**i
-            for y in range(H + 1):
-                acc = 0
-                for j, c in col.items():
-                    acc += c * y**j
-                if acc == 0:
-                    count += 1
-    else:
-        P = _next_prime_above(2 * H + 1)
-        degy = max(j for _, j in terms)
-        for x in range(H + 1):
-            col = [0] * (degy + 1)
-            for (i, j), c in terms.items():
-                col[j] += c * x**i
-            if all(c == 0 for c in col):
-                count += H + 1
-                continue
-            for y0 in _roots_mod(col, P):
-                if y0 <= H and _eval_int_bipoly(terms, x, y0) == 0:
-                    count += 1
+    for x in range(H + 1):
+        col = _int_column(terms, x)
+        ys = range(H + 1) if small else (y for y in _roots_mod(col, P) if y <= H)
+        count += sum(1 for y in ys if _int_horner(col, y) == 0)
 
     h_root = None
     reference = None

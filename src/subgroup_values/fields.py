@@ -156,8 +156,12 @@ def _is_irreducible(base, f):
 def _digit_tuples(p: int, t: int):
     """Every t-tuple of base-p digits, ascending place first, in increasing
     order of the integer the digits name: the raw_key order of F_{p^t}."""
-    # product varies its last place fastest, raw_key its first
-    return (digs[::-1] for digs in itertools.product(range(p), repeat=t))
+    # lazy: each level puts the fastest place in front of the slower places,
+    # so no level copies range(p)
+    tuples = [()]
+    for _ in range(t):
+        tuples = ((c, *rest) for rest in tuples for c in range(p))
+    return tuples
 
 
 # --- field contexts -----------------------------------------------------------
@@ -355,14 +359,24 @@ def ext_field_build(p: int, t: int) -> FieldCtx:
     """Context for F_{p^t} with the lexicographically smallest monic modulus.
 
     Candidates x^t + c_{t-1} x^{t-1} + ... + c_0 are ordered by the tuple
-    (c_{t-1}, ..., c_0), so repeated builds agree byte for byte.
+    (c_{t-1}, ..., c_0), so repeated builds agree byte for byte. The first p,
+    the binomials x^t - a with a = -c_0, are settled without a Rabin test:
+    none is irreducible unless every prime l | t divides p - 1 and p = 1 mod 4
+    when 4 | t; then x^t - a is irreducible exactly when a^((p-1)/l) != 1 for
+    every such l (Lidl and Niederreiter, Finite Fields, Theorem 3.75).
     """
     base = FieldCtx(p)
     if not isinstance(t, int) or t < 1 or t > MAX_EXT_DEGREE:
         raise DegreeTooLarge(f"extension degree must be in 1..{MAX_EXT_DEGREE}, got {t}")
     if t == 1:
         return base
-    for digs in _digit_tuples(p, t):
-        if _is_irreducible(base, [*digs, 1]):
-            return FieldCtx(p, t, (*digs, 1))
+    ells = prime_factors(t)
+    if all((p - 1) % ell == 0 for ell in ells) and (t % 4 or p % 4 == 1):
+        for c0 in range(1, p):
+            if all(pow(p - c0, (p - 1) // ell, p) != 1 for ell in ells):
+                return FieldCtx(p, t, (c0, *[0] * (t - 1), 1))
+    for rest in itertools.islice(_digit_tuples(p, t - 1), 1, None):
+        for c0 in range(p):
+            if _is_irreducible(base, [c0, *rest, 1]):
+                return FieldCtx(p, t, (c0, *rest, 1))
     raise AssertionError("no irreducible modulus found (unreachable)")

@@ -334,7 +334,7 @@ def exceptional_lambdas(psi: RationalFunc, p: int | None = None, max_ext: int = 
 
     The scan keeps lists of q = p^max_ext entries, so q above 2^20 is refused
     with SearchSpaceTooLarge before any of them is built: x^2+x at
-    p = 1000003 already takes about 3.5 s and 184 MB.
+    p = 1000003 already takes about 2 s and 181 MiB.
     """
     ctx = psi.ctx
     if p is not None and p != ctx.p:

@@ -24,6 +24,8 @@ from .counting import (
     SubgroupCount,
     _count_values,
     _eval_int_bipoly,
+    _int_column,
+    _int_horner,
     congruent_pairs,
     subgroup_of_order,
 )
@@ -215,25 +217,6 @@ class ProofTrace(NamedTuple):
     ratio: float
 
 
-def _eval_int_terms_horner(terms: dict, x: int, y: int) -> int:
-    # independent evaluation order for the second verification pass
-    rows: dict = {}
-    for (i, j), c in terms.items():
-        rows.setdefault(i, {})[j] = c
-    acc = 0
-    for i in sorted(rows, reverse=True):
-        row = rows[i]
-        inner = 0
-        prev = None
-        for j in sorted(row, reverse=True):
-            inner = row[j] if prev is None else inner * y ** (prev - j) + row[j]
-            prev = j
-        if prev:
-            inner *= y**prev
-        acc += inner * x**i
-    return acc
-
-
 def _check_trace_size(p: int, H: int, exp: ExponentSet) -> None:
     if not 2 <= H < p:
         raise PreconditionViolated(f"need 2 <= H < p, got H = {H}, p = {p}")
@@ -346,11 +329,11 @@ def _trace(psi: RationalFunc, G: Subgroup, exp: ExponentSet, levels: LevelSelect
     z_max = max((abs(z) for _, _, z in pairs_z), default=0)
     z_magnitude = p ** (-1.0 / exp.s) * H ** (exp.k / exp.s) + 1.0
 
-    # independent second pass: different evaluation order, and the recorded
-    # z-range must cover every pair
+    # independent second pass: Horner in y over the columns at x, and the
+    # recorded z-range must cover every pair
     for (x, y, z) in pairs_z:
-        lhs = _eval_int_terms_horner(F_terms, x, y)
-        rhs = _eval_int_terms_horner(G_terms, x, y)
+        lhs = _int_horner(_int_column(F_terms, x), y)
+        rhs = _int_horner(_int_column(G_terms, x), y)
         if lhs - rhs != z * p or abs(z) > z_max:
             raise AssertionError
 

@@ -630,7 +630,9 @@ class RationalFunc:
         return hash((self.num, self.den))
 
     def __repr__(self):
-        return f"RationalFunc({self.text()!r}, p={self.ctx.p})"
+        if self.ctx.t == 1:
+            return f"RationalFunc({self.text()!r}, p={self.ctx.p})"
+        return f"RationalFunc({self.num!r}, {self.den!r})"
 
 
 rational_normalize = RationalFunc  # the public name of the constructor

@@ -21,9 +21,9 @@ from subgroup_values.errors import (
     PreconditionViolated,
     ZeroLambda,
 )
-from subgroup_values.fields import FieldCtx, ext_field_build
-from subgroup_values.parsing import parse_int_bipoly
-from subgroup_values.polynomials import UniPoly, rational_normalize
+from subgroup_values.fields import FieldCtx, ext_field_build, is_prime
+from subgroup_values.parsing import parse_int_bipoly, parse_rational_expr
+from subgroup_values.polynomials import RationalFunc, UniPoly, rational_normalize
 
 F7 = FieldCtx(7)
 
@@ -313,3 +313,55 @@ def test_count_values_reads_a_long_interval_without_keeping_it():
         tracemalloc.stop()
     assert n == len(wit) and all(pow(x * x + x + 1, 2, p) == 1 for x in wit)
     assert peak < 200_000, peak
+
+
+def _restarting_covering_interval(f, H, p, wrap):
+    # the O(p*H) scan that rebuilt every window from its start u
+    from subgroup_values.counting import _cover_length
+
+    best = None
+    for u in (range(p) if wrap else range(p - H)):
+        values = [f.eval_raw((u + i) % p if wrap else u + i) for i in range(1, H + 1)]
+        if None not in values:
+            k = _cover_length(values, p, wrap)
+            best = k if best is None else min(best, k)
+    return best
+
+
+def test_shortest_covering_interval_matches_the_restarting_scan():
+    maps = ["(x^2+1)/(x+2)", "1/(x^2-1)", "x/(x^3+x+1)", "(x^3+2)/(x^2+3*x)"]
+    for p in (q for q in range(2, 60) if is_prime(q)):
+        for text in maps:
+            f = parse_rational_expr(text, p)
+            for H in range(1, p):
+                for wrap in (False, True):
+                    want = _restarting_covering_interval(f, H, p, wrap)
+                    if want is None:
+                        with pytest.raises(AllWindowsContainPoles):
+                            shortest_covering_interval(f, H, p, wrap=wrap)
+                    else:
+                        assert shortest_covering_interval(f, H, p, wrap=wrap) == want, \
+                            (text, p, H, wrap)
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_shortest_covering_interval_reads_each_point_once(monkeypatch, wrap):
+    calls = []
+    eval_raw = RationalFunc.eval_raw
+    monkeypatch.setattr(RationalFunc, "eval_raw", lambda f, x: calls.append(x) or eval_raw(f, x))
+    p, H = 101, 5
+    for f in (parse_rational_expr("1/(x^2-1)", p), UniPoly.from_ints(FieldCtx(p), [3, 1, 2])):
+        calls.clear()
+        shortest_covering_interval(f, H, p, wrap=wrap)
+        assert len(calls) == (p - 1 + H if wrap else p - 1)
+
+
+def test_int_column_horner_matches_the_monomial_sum():
+    from subgroup_values.counting import _eval_int_bipoly, _int_column, _int_horner
+
+    rng = random.Random(30)
+    for _ in range(300):
+        terms = {(rng.randrange(5), rng.randrange(5)): rng.randint(-10**6, 10**6)
+                 for _ in range(rng.randint(1, 8))}
+        x, y = rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4)
+        assert _int_horner(_int_column(terms, x), y) == _eval_int_bipoly(terms, x, y)

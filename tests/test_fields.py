@@ -1,4 +1,9 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +31,8 @@ from subgroup_values.factorization import factor_univariate
 from subgroup_values.parsing import parse_poly_expr
 from subgroup_values.polynomials import UniPoly
 from subgroup_values.surd import Surd, iroot
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_mod_inverse_examples():
@@ -277,3 +284,38 @@ def test_field_constants_and_the_digit_walk(p, t):
 def test_a_field_element_times_an_int_is_a_type_error():
     with pytest.raises(TypeError):
         FieldCtx(7).el(3) * 3
+
+
+def _rabin_walk_modulus(p, t):
+    # the search with a Rabin test for every candidate, binomials included
+    from subgroup_values.fields import _is_irreducible
+
+    base = FieldCtx(p)
+    for n in itertools.count():
+        cand = tuple((n // p**i) % p for i in range(t)) + (1,)
+        if _is_irreducible(base, list(cand)):
+            return cand
+
+
+def test_ext_field_build_agrees_with_the_rabin_walk():
+    for p in (q for q in range(2, 400) if is_prime(q)):
+        for t in range(2, 7):
+            if p**t <= 10**12:
+                assert ext_field_build(p, t).modulus == _rabin_walk_modulus(p, t), (p, t)
+
+
+@pytest.mark.parametrize("t, modulus", [(2, (1, 0, 1)), (3, (3, 1, 0, 1))])
+def test_ext_field_build_near_the_prime_limit_stays_small(t, modulus):
+    # the digit walk must not copy range(p): under a 1 GiB address-space
+    # limit a copy of range(4294967291) raises MemoryError
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from subgroup_values.fields import ext_field_build\n"
+        f"print(ext_field_build(4294967291, {t}).modulus)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       env=env, timeout=5)
+    assert (r.returncode, r.stdout, r.stderr) == (0, f"{modulus}\n", "")

@@ -164,3 +164,13 @@ def test_extension_unipoly_repr_and_the_monic_zero():
     zero = UniPoly.zero(F25)
     assert zero.monic() == zero and zero.monic().is_zero()
     assert f.monic().is_monic()
+
+
+def test_rational_func_repr_over_an_extension_field():
+    from subgroup_values.factorization import extract_power_root
+    from subgroup_values.parsing import parse_rational_expr
+
+    root = extract_power_root(parse_rational_expr("3", 7), 2)  # 3 is no square mod 7
+    assert repr(root) == ("RationalFunc(UniPoly([(0, 2)] over FieldCtx(F_7^2)), "
+                          "UniPoly([(1, 0)] over FieldCtx(F_7^2)))")
+    assert repr(parse_rational_expr("(x^2+1)/(x+2)", 7)) == "RationalFunc('(x^2+1)/(x+2)', p=7)"
