@@ -122,13 +122,8 @@ def _cover_length(values, p: int, wrap: bool) -> int:
     vs = sorted(set(values))
     if not wrap:
         return vs[-1] - vs[0] + 1
-    if len(vs) == 1:
-        return 1
-    best_gap = 0
-    for a, b in zip(vs, vs[1:]):
-        best_gap = max(best_gap, b - a)
-    best_gap = max(best_gap, vs[0] + p - vs[-1])
-    return p - best_gap + 1
+    # the widest gap between cyclically consecutive values, the one across 0 included
+    return p - max(b - a for a, b in zip(vs, vs[1:] + [vs[0] + p])) + 1
 
 
 def shortest_covering_interval(f, H: int, p: int, wrap: bool = False) -> int:

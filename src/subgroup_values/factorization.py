@@ -679,7 +679,7 @@ def _has_smooth_rational_point(F: BiPoly) -> bool:
     for _, fiber in itertools.islice(_fibers(F), tries):
         fiber = _umonic(ctx, fiber)
         h = _ugcd(ctx, fiber, _usub(ctx, _upowmod(ctx, y, ctx.q, fiber), y))
-        if len(h) > 1 and len(_ugcd(ctx, h, _uderiv(ctx, fiber))) < len(h):
+        if len(_ugcd(ctx, h, _uderiv(ctx, fiber))) < len(h):
             return True
     return False
 

@@ -242,8 +242,7 @@ def shortest_vector_enum(B: LatticeBasis) -> tuple:
     if B.rank > MAX_ENUM_DIM:
         raise SearchSpaceTooLarge(f"rank {B.rank} exceeds the enumeration cap {MAX_ENUM_DIM}")
     reduced, d, lam = _lll_reduce(B)
-    bound = iroot(d[-1], 2 * B.rank)  # floor(vol^(1/rank))
-    bound = max(bound, 1)
+    bound = iroot(d[-1], 2 * B.rank)  # floor(vol^(1/rank)) >= 1, as d[-1] >= 1
     bound = min(bound, min(max(abs(x) for x in col) for col in reduced))
     raw = _enumerate_ball(reduced, d, lam, bound)
     if not raw:

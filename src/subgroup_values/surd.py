@@ -59,9 +59,7 @@ class Surd:
         c, d = o.radicand.numerator, o.radicand.denominator
         left = a**o.index * d**self.index
         right = c**self.index * b**o.index
-        if left == right:
-            return 0
-        return -1 if left < right else 1
+        return (left > right) - (left < right)
 
     def __lt__(self, other):
         return self._cmp(other) < 0

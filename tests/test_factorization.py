@@ -218,6 +218,26 @@ def test_bivariate_refusals():
         is_absolutely_irreducible(B(ctx, {(2, 0): 1, (0, 2): -2}))
 
 
+def test_absolute_test_reaches_the_degree_cap_exactly():
+    # X^2 - cY^2 over F_{3^6}, c a non-square: the conjugate lines need
+    # F_{3^12}, and 12 is the degree cap itself, so the retest runs
+    ctx = ext_field_build(3, 6)
+    c = (0, 1, 0, 0, 0, 0)
+    assert ctx.rpow(c, (ctx.q - 1) // 2) != ctx.one_raw
+    F = B(ctx, {(2, 0): 1, (0, 2): ctx.rneg(c)})
+    v = is_absolutely_irreducible(F)
+    assert v.over_base and not v.absolutely and v.witness_ext == 12
+    assert embed_bipoly(F, v.witness.ctx).try_divide(v.witness) is not None
+
+
+def test_smooth_point_settles_a_curve_whose_retest_passes_the_degree_cap():
+    # X^2 + Y^2 - 1 over F_{3^7}: g = 2 would need F_{3^14}, past the cap,
+    # but (0, 1) is a smooth rational point, so no retest runs
+    ctx = ext_field_build(3, 7)
+    F = B(ctx, {(2, 0): ctx.one_raw, (0, 2): ctx.one_raw, (0, 0): ctx.rneg(ctx.one_raw)})
+    assert is_absolutely_irreducible(F) == (True, True, None, None)
+
+
 def test_find_proper_factor_refuses_vanishing_f_y():
     # F_Y = 0 with deg_y >= 1 needs deg_y >= p, outside the p > total degree
     # precondition: X^2 + Y^2 = (X + Y)^2 and X + Y^2 over F_2

@@ -269,6 +269,19 @@ def test_sieve_matches_the_generic_loop_on_every_lambda(p):
     assert settled > 0
 
 
+@pytest.mark.parametrize("t", (1, 2))
+def test_sieve_takes_only_a_root_as_the_point_certificate(t):
+    # two rootless fibers of a quartic, one split 2 + 2 (mask bit 2) and one
+    # irreducible (mask 0), rule out every Y-degree; without a root among
+    # them the point certificate stays open
+    ctx = ext_field_build(7, t)
+    a, b = itertools.islice((x for x in ctx.elements() if not ctx.is_zero_raw(x)), 2)
+    table = {a: (0b100, False), b: (0, False)}
+    lams = [ctx.one_raw]
+    assert _sieve(ctx, lams, [a, b], table, False) == []
+    assert _sieve(ctx, lams, [a, b], table, True) == lams
+
+
 # --- the dispatch: no field-method call at t = 1, the generic path at t = 2 -----
 
 

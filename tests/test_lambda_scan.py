@@ -9,6 +9,7 @@ from test_startup import _python
 from subgroup_values import factorization, lambda_scan
 from subgroup_values.errors import (
     BadRange,
+    CharTooSmall,
     DegreeOutOfRange,
     DegreeTooSmall,
     PerfectPowerInput,
@@ -121,6 +122,13 @@ def test_exceptional_lambdas_rejects_a_p_other_than_psis_prime():
         exceptional_lambdas(psi, 5)
 
 
+@pytest.mark.parametrize("max_ext", (0, 3))
+def test_exceptional_lambdas_rejects_max_ext_outside_one_to_the_degree(max_ext):
+    psi = R(F7, [0, 1, 1])
+    with pytest.raises(BadRange, match=f"max_ext must be in 1..2, got {max_ext}"):
+        exceptional_lambdas(psi, 7, max_ext=max_ext)
+
+
 def test_lambda_one_is_always_exceptional():
     # f(X)g(Y) - f(Y)g(X) vanishes on the diagonal, so X - Y divides it
     rng = random.Random(17)
@@ -161,6 +169,24 @@ def test_lambda_one_skips_the_sieve(monkeypatch, expr, p, max_ext):
     assert [lam for t, lam in sieved if t == 1] == list(range(2, p))
 
 
+@pytest.mark.parametrize("expr, need_point", [
+    ("(x^2+1)/(x+2)", False), ("x^2+x", True), ("(x^2+1)/(x^2+3)", True), ("x^3+x", True),
+])
+def test_sieve_asks_for_a_point_exactly_when_the_degrees_share_a_factor(monkeypatch, expr, need_point):
+    # gcd(n, deg f + deg g) = 1 makes F_p-irreducibility absolute; (x^2+1)/(x+2)
+    # has gcd(2, 3) = 1, the others gcd 2, 2 and 3
+    asked = set()
+    sieve = lambda_scan._sieve
+
+    def recording(ctx, lams, ratios, table, need):
+        asked.add(need)
+        return sieve(ctx, lams, ratios, table, need)
+
+    monkeypatch.setattr(lambda_scan, "_sieve", recording)
+    exceptional_lambdas(parse_rational_expr(expr, 11), 11)
+    assert asked == {need_point}
+
+
 def test_scale_robustness():
     rng = random.Random(23)
     done = 0
@@ -189,6 +215,21 @@ def test_extension_scan_finds_no_new_lambdas_for_x2_plus_1():
     assert report.count == 1
     assert int(report.exceptional[0].lam) == 1
     assert report.scanned_field.t == 2
+
+
+def test_extension_sieve_keeps_a_lambda_whose_factor_has_y_degree_two():
+    # f = h(k(x)) with h(u) = u^4 + u and k(x) = x^2 + 1: h(ωu) = ω h(u) for
+    # ω^3 = 1, so k(X) - ω k(Y), of Y-degree 2, divides F_ω. At p = 11 both
+    # ω ≠ 1 lie in F_121 \ F_11, and a fiber of F_ω need not have a root, so
+    # only the degree sums of the F_121 fibers keep them open
+    psi = parse_rational_expr("(x^2+1)^4+(x^2+1)", 11)
+    report = exceptional_lambdas(psi, 11, max_ext=2)
+    upstairs = [w for w in report.exceptional if w.lam.ctx.t == 2]
+    one = FieldElem(report.scanned_field, report.scanned_field.one_raw)
+    assert len(upstairs) == 2
+    for w in upstairs:
+        assert w.lam != one and w.lam**3 == one
+        assert (w.ext_degree, w.witness.deg_y) == (2, 2)
 
 
 def test_cubic_scan_needs_almost_no_extension_retest(monkeypatch):
@@ -669,6 +710,16 @@ def test_scan_refuses_a_field_above_the_cap_at_once(budget, expr, p, max_ext, q)
         with pytest.raises(SearchSpaceTooLarge) as err:
             exceptional_lambdas(parse_rational_expr(expr, p), p, max_ext=max_ext)
     assert str(err.value) == f"q = p^{max_ext} = {q} exceeds the scan cap 2^20"
+
+
+def test_scan_cap_admits_q_equal_to_two_to_the_twenty():
+    # 2^20 is the one prime power at the cap; the cap lets it through, and the
+    # characteristic check after it refuses x^20+x over F_2
+    psi = parse_rational_expr("x^20+x", 2)
+    with pytest.raises(CharTooSmall, match="need p > deg f"):
+        exceptional_lambdas(psi, max_ext=20)
+    with pytest.raises(SearchSpaceTooLarge):
+        exceptional_lambdas(parse_rational_expr("x^21+x", 2), max_ext=21)
 
 
 def test_quadratic_polynomial_scan_matches_conic_classifier():

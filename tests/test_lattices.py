@@ -455,6 +455,15 @@ def test_multiplier_never_not_found_on_valid_instances():
         assert inst.satisfied_by(v)
 
 
+def test_multiplier_refuses_a_vector_that_misses_the_bounds(monkeypatch):
+    # the last check guards the basis and the enumeration: a shortest vector
+    # with last coordinate 0 would give v = 0, which it must refuse
+    inst = SmallResidueInstance(11, (1, 5), (3, 4))
+    monkeypatch.setattr(lattices, "shortest_vector_enum", lambda basis: (1, 0))
+    with pytest.raises(MultiplierNotFound, match="contradicts the construction"):
+        find_small_residue_multiplier(inst)
+
+
 def test_multiplier_at_a_million_returns_quickly(budget):
     # its volume bound, floor(gram_det^(1/10)), is about 2^80: past float precision
     inst = SmallResidueInstance(

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import multiprocessing
@@ -33,6 +34,7 @@ from subgroup_values.errors import (
     PreconditionViolated,
     SubgroupValuesError,
     WindowEmpty,
+    ZeroLambda,
 )
 from subgroup_values.fields import FieldCtx, ext_field_build, is_prime, prime_factors
 from subgroup_values.lambda_scan import exceptional_lambdas
@@ -799,3 +801,115 @@ def test_parallel_rows_that_tie_come_out_in_the_serial_order(monkeypatch, budget
     with budget(30):
         assert run_sweep(cells, jobs=2) == serial
     assert multiprocessing.active_children() == []
+
+
+def test_trace_proof_takes_both_ends_of_its_window():
+    # H = 2 is the smallest window a trace accepts, and H = p is refused
+    psi = parse_rational_expr("x^2+x", 31)
+    tr = trace_proof(psi, 31, 2, 5)
+    assert (tr.chosen_lambda, tr.pair_count) == (2, 0)
+    with pytest.raises(PreconditionViolated, match="need 2 <= H < p"):
+        trace_proof(psi, 31, 31, 5)
+
+
+def test_trace_with_no_pairs_meets_a_zero_lower_bound():
+    # ψ = x^2+x takes 2, 6, 12 on [1, 3]; with 1, 2 and 16 exceptional the
+    # order-5 subgroup {1, 2, 4, 8, 16} leaves no ratio, so the fallback takes
+    # λ = 4, which has no pair: 0 pairs meet rt_lower = 0
+    psi = parse_rational_expr("x^2+x", 31)
+    tr = trace_proof(psi, 31, 3, 5, exceptional={1, 2, 16})
+    assert (tr.chosen_lambda, tr.pair_count, tr.rt_lower) == (4, 0, 0)
+    assert tr.rt_ok is True
+    assert (tr.pairs_z, tr.z_max) == ((), 0)
+
+
+def test_trace_second_pass_catches_a_wrong_column_value(monkeypatch):
+    # the first pass evaluates F and G whole; a Horner that is off by one on
+    # the F side alone must fail the second pass
+    psi = parse_rational_expr("x^2+x", 31)
+    assert trace_proof(psi, 31, 3, 5).pairs_z
+    horner = pipeline._int_horner
+    calls = itertools.count()
+    monkeypatch.setattr(pipeline, "_int_horner", lambda col, y: horner(col, y) + (next(calls) % 2 == 0))
+    with pytest.raises(AssertionError):
+        trace_proof(psi, 31, 3, 5)
+
+
+def test_trace_proof_reads_its_exceptional_set_mod_p():
+    # 32 and -30 are λ = 1, which X - Y always makes exceptional; 0 and 31
+    # are λ = 0, refused as congruent_pairs refuses it
+    psi = parse_rational_expr("x^2+x", 31)
+    want = trace_proof(psi, 31, 3, 5, exceptional={1})
+    assert want.chosen_lambda != 1
+    for exceptional in ({32}, {-30}, {1, 32}):
+        assert trace_proof(psi, 31, 3, 5, exceptional=exceptional) == want
+    for exceptional in ({0, 1}, {31}):
+        with pytest.raises(ZeroLambda):
+            trace_proof(psi, 31, 3, 5, exceptional=exceptional)
+
+
+def test_select_test_levels_refuses_a_window_of_one():
+    # at H = 1 every level would be U = (2 p^(s-1))^(1/s) < p, so only the
+    # precondition refuses it
+    with pytest.raises(PreconditionViolated, match="H must be >= 2, got 1"):
+        select_test_levels(31, 1, exponent_set(2, 0))
+
+
+def test_select_test_levels_checks_the_level_product(monkeypatch):
+    # one pair (i, j) moved to (i + 1, j) divides the level product by H,
+    # which the exact product check must refuse
+    def shifted(ell, m):
+        support = support_set(ell, m)
+        (i, j), *rest = support.pairs
+        return support._replace(pairs=((i + 1, j), *rest))
+
+    monkeypatch.setattr(pipeline, "support_set", shifted)
+    with pytest.raises(AssertionError):
+        select_test_levels(101, 2, exponent_set(2, 0))
+
+
+def test_trace_checks_the_bucket_count_against_the_pairs(monkeypatch):
+    # x^2+x at p = 31, H = 3, T = 5 has one pair; congruent_pairs made to
+    # lose it must fail the check against the bucket count
+    monkeypatch.setattr(pipeline, "congruent_pairs", lambda *args: [])
+    with pytest.raises(AssertionError, match="bucket count disagrees"):
+        trace_proof(parse_rational_expr("x^2+x", 31), 31, 3, 5)
+
+
+def test_trace_proof_refuses_a_perfect_power_without_the_scan():
+    # with the exceptional set given, the scan's own refusal never runs
+    with pytest.raises(PerfectPowerInput):
+        trace_proof(parse_rational_expr("x^2", 31), 31, 3, 5, exceptional={1})
+
+
+def test_trace_lower_bound_is_positive_past_four_m_cubed():
+    # x^2+x (m = 2) at p = 10007, H = 70, T = (p - 1)/2 has N = 34 values in
+    # G, past 4 m^3 = 32, so rt_lower = (N^2 - 4 m^3 N) / T = 68 / 5003
+    tr = trace_proof(parse_rational_expr("x^2+x", 10007), 10007, 70, 5003)
+    assert (tr.count, tr.rt_lower) == (34, Fraction(68, 5003))
+    assert tr.rt_ok and tr.pair_count == 4
+
+
+def test_trace_reads_a_missing_coefficient_as_zero():
+    # F_λ = f(X) - λ f(Y) for f = x^2 + c has no X^0 Y^1 term, so row 1 is
+    # empty and the support pair (0, 1) must read b = 0; the multiplier is
+    # the one of the b read off F_λ's terms
+    from subgroup_values.lambda_scan import build_sym_poly
+    from subgroup_values.lattices import SmallResidueInstance, find_small_residue_multiplier
+
+    for expr, p, H, T in (("x^2+1", 31, 3, 5), ("x^2+3", 61, 4, 5)):
+        tr = trace_proof(parse_rational_expr(expr, p), p, H, T)
+        terms = build_sym_poly(tr.psi, tr.chosen_lambda).terms
+        assert (0, 1) in tr.levels.levels and (0, 1) not in terms
+        b = [int(terms.get(pair, 0)) for pair in tr.levels.levels]
+        inst = SmallResidueInstance(p, b, tuple(tr.levels.levels.values()))
+        assert tr.multiplier == find_small_residue_multiplier(inst)
+
+
+def test_trace_first_pass_catches_a_wrong_integer_value(monkeypatch):
+    # F evaluated one too high makes F - G miss a multiple of p
+    evaluate = pipeline._eval_int_bipoly
+    calls = itertools.count()
+    monkeypatch.setattr(pipeline, "_eval_int_bipoly", lambda terms, x, y: evaluate(terms, x, y) + (next(calls) % 2 == 0))
+    with pytest.raises(AssertionError, match="congruent pair fails the integer congruence"):
+        trace_proof(parse_rational_expr("x^2+x", 31), 31, 3, 5)
