@@ -14,20 +14,22 @@ one operator:
 - compare   swaps one comparison: < and <=, > and >=, == and !=;
 - constant  moves one integer constant by -1 or +1;
 - boolop    swaps `and` and `or`;
+- clause    deletes one operand of an `and` or `or` chain (a two-operand
+            chain becomes its other operand);
 - raise     removes a raise guarded by an if;
 - true      makes a predicate (a function annotated -> bool) return True.
 
-Integer constants and comparisons inside a raise statement or an f-string
-are left alone: they only shape a message. Each mutant runs first against
-its module's test subset (TARGETS), stopping at the first failure, and one
-that passes there is run again against the whole tier-1 suite, since a
-narrow subset misses checks that other files make. A run that outlasts
-three times its unmutated time, plus a minute, counts as a kill. The probe
-prints one line per mutant that survives both runs, and then the totals;
-stderr shows each mutant's outcome as it runs. Every run starts in its own
-process group, which is killed when the run ends, and the temporary
-directory is removed, so nothing is left running or written in the
-checkout.
+Integer constants, comparisons and `and`/`or` chains inside a raise
+statement or an f-string are left alone: they only shape a message. Each
+mutant runs first against its module's test subset (TARGETS), stopping at
+the first failure, and one that passes there is run again against the
+whole tier-1 suite, since a narrow subset misses checks that other files
+make. A run that outlasts three times its unmutated time, plus a minute,
+counts as a kill. The probe prints one line per mutant that survives both
+runs, and then the totals; stderr shows each mutant's outcome as it runs.
+Every run starts in its own process group, which is killed when the run
+ends, and the temporary directory is removed, so nothing is left running
+or written in the checkout.
 """
 
 import ast
@@ -45,20 +47,28 @@ from typing import NamedTuple
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = pathlib.Path("src") / "subgroup_values"
 
-# module: (the qualified names of its target functions, its test subset)
+# module: (the qualified names of its target functions, its test subset: files,
+# and single tests of other files that kill a mutant the files let through)
 TARGETS = {
     "pipeline": (
         ("select_test_levels", "_check_trace_size", "trace_proof", "_choose_lambda", "_trace"),
-        ("test_pipeline.py", "test_cli_golden.py", "test_acceptance.py"),
+        ("test_pipeline.py", "test_cli_golden.py", "test_acceptance.py",
+         "test_records.py::test_repr_is_unchanged[ProofTrace]"),
     ),
     "lattices": (
         ("shortest_vector_enum", "SmallResidueInstance.validate",
          "SmallResidueInstance.satisfied_by", "find_small_residue_multiplier"),
-        ("test_lattices.py", "test_pipeline.py"),
+        ("test_lattices.py", "test_pipeline.py",
+         "test_lambda_scan.py::test_program_checks_hold_under_python_O"),
     ),
-    "lambda_scan": (("_sieve", "exceptional_lambdas"), ("test_lambda_scan.py", "test_kernels.py")),
+    "lambda_scan": (
+        ("_sieve", "exceptional_lambdas"),
+        ("test_lambda_scan.py", "test_kernels.py",
+         "test_pipeline.py::test_sweep_records_errors_without_aborting"),
+    ),
     "factorization": (
-        ("is_absolutely_irreducible", "_has_smooth_rational_point"),
+        ("_validate_bivariate_input", "is_absolutely_irreducible", "_has_smooth_rational_point",
+         "perfect_power_exponent"),
         ("test_factorization.py",),
     ),
     "counting": (
@@ -66,6 +76,7 @@ TARGETS = {
         ("test_counting.py", "test_pipeline.py"),
     ),
     "surd": (("Surd._cmp",), ("test_surd.py", "test_pipeline.py")),
+    "fields": (("check_prime",), ("test_fields.py",)),
 }
 
 _SWAPS = {
@@ -145,6 +156,10 @@ def mutants(source: str, qualnames) -> list:
                 new = copy.copy(node)
                 new.op = _BOOL_SWAPS[type(node.op)]()
                 out.append(rewritten(node, new, "boolop"))
+                for i in range(len(node.values)):
+                    rest = node.values[:i] + node.values[i + 1:]
+                    new = rest[0] if len(rest) == 1 else ast.BoolOp(node.op, rest)
+                    out.append(rewritten(node, new, "clause"))
             elif _integer(node) is not None:
                 quiet.update(map(id, ast.walk(node)))
                 for value in (_integer(node) - 1, _integer(node) + 1):

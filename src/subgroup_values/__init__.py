@@ -32,6 +32,7 @@ from .factorization import (
     is_absolutely_irreducible,
     is_irreducible_bivariate,
     perfect_power_exponent,
+    reduce_perfect_power,
 )
 from .fields import (
     FieldCtx,
@@ -72,8 +73,8 @@ _DEFERRED = {
         ("surd", ("Surd",)),
         ("pipeline", (
             "ExponentSet", "LevelSelection", "ProofTrace", "SupportSet", "exponent_set",
-            "reduce_perfect_power", "run_sweep", "select_test_levels",
-            "standard_sweep_cells", "support_set", "value_count_bound", "trace_proof",
+            "run_sweep", "select_test_levels", "standard_sweep_cells", "support_set",
+            "value_count_bound", "trace_proof",
         )),
     )
     for name in names

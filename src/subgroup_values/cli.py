@@ -59,6 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify the constructive machinery behind the bound.",
     )
     sub = top.add_subparsers(dest="subcommand", required=True)
+    psi_p = argparse.ArgumentParser(add_help=False)
+    psi_p.add_argument("--psi", required=True)
+    psi_p.add_argument("-p", type=int, required=True)
 
     def common(sp, handler):
         sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
@@ -67,17 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted and ignored; the randomized internals use a fixed seed")
         sp.set_defaults(handler=handler)
 
-    sp = sub.add_parser("count", help="count interval values landing in a subgroup")
-    sp.add_argument("--psi", required=True)
-    sp.add_argument("-p", type=int, required=True)
+    sp = sub.add_parser("count", parents=[psi_p], help="count interval values landing in a subgroup")
     sp.add_argument("-T", type=int, required=True)
     sp.add_argument("--interval", required=True, help="closed range a..b")
     sp.add_argument("--wrap", action="store_true")
     common(sp, _cmd_count)
 
-    sp = sub.add_parser("lambda-scan", help="exceptional multipliers of the symmetrized polynomial")
-    sp.add_argument("--psi", required=True)
-    sp.add_argument("-p", type=int, required=True)
+    sp = sub.add_parser("lambda-scan", parents=[psi_p], help="exceptional multipliers of the symmetrized polynomial")
     sp.add_argument("--max-ext", type=int, default=1)
     common(sp, _cmd_lambda_scan)
 
@@ -87,9 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--V", required=True, help="comma-separated bounds")
     common(sp, _cmd_lattice_find)
 
-    sp = sub.add_parser("perfect-power", help="largest n with psi = phi^n over the closure")
-    sp.add_argument("--psi", required=True)
-    sp.add_argument("-p", type=int, required=True)
+    sp = sub.add_parser("perfect-power", parents=[psi_p], help="largest n with psi = phi^n over the closure")
     sp.add_argument("-T", type=int, default=None, help="also reduce a subgroup order")
     common(sp, _cmd_perfect_power)
 
@@ -98,9 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-e", type=int, required=True)
     common(sp, _cmd_exponents)
 
-    sp = sub.add_parser("trace", help="replay the proof pipeline on one instance")
-    sp.add_argument("--psi", required=True)
-    sp.add_argument("-p", type=int, required=True)
+    sp = sub.add_parser("trace", parents=[psi_p], help="replay the proof pipeline on one instance")
     sp.add_argument("-T", type=int, required=True)
     sp.add_argument("--H", type=int, required=True)
     common(sp, _cmd_trace)
@@ -111,9 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jobs", type=int, default=1)
     common(sp, _cmd_sweep)
 
-    sp = sub.add_parser("kshort", help="shortest interval covering H consecutive values")
-    sp.add_argument("--psi", required=True)
-    sp.add_argument("-p", type=int, required=True)
+    sp = sub.add_parser("kshort", parents=[psi_p], help="shortest interval covering H consecutive values")
     sp.add_argument("--H", type=int, required=True)
     sp.add_argument("--wrap", action="store_true")
     common(sp, _cmd_kshort)
@@ -195,13 +188,13 @@ def _cmd_lattice_find(a):
 def _cmd_perfect_power(a):
     psi = parse_rational_expr(a.psi, a.p)
     n = factorization.perfect_power_exponent(psi)
+    # without -T the reduced order is computed and not printed
+    root, order = factorization.reduce_perfect_power(psi, 0 if a.T is None else a.T)
     pairs = [("psi", psi.text()), ("p", a.p), ("exponent", n)]
     if n > 1:
-        root = factorization.extract_power_root(psi, n)
         pairs.append(("root", root.text() if root.ctx.t == 1 else f"<degree-{root.ctx.t} extension>"))
     if a.T is not None:
-        # membership of ψ = φ^n in a subgroup of order T puts φ in one of order n T
-        pairs.append(("reduced_order", n * a.T))
+        pairs.append(("reduced_order", order))
     _emit_pairs(pairs, a)
 
 

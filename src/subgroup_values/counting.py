@@ -195,7 +195,7 @@ def congruent_pairs(psi: RationalFunc, lam: int, H: int, p: int) -> list:
         vals[x] = v
         by_value.setdefault(v, []).append(x)
     pairs = []
-    for y in sorted(vals):
+    for y in vals:
         target = lam * vals[y] % p
         for x in by_value.get(target, ()):
             pairs.append((x, y))
@@ -256,10 +256,12 @@ def integral_points_in_box(F, H: int) -> BoxPointCount:
     """Exact count of integer points (x, y) in [0, H]^2 with F(x, y) = 0.
 
     F is a dict {(i, j): integer coefficient}. Each column x is F(x, y) as a
-    polynomial in y. Small boxes try every y in [0, H]; larger ones try only
-    the column's roots modulo a prime above 2H. Every candidate is verified in
-    exact integer arithmetic. The attached reference magnitude is reported for
-    context only.
+    polynomial in y. Boxes with H < 400 try every y in [0, H]; larger ones,
+    where that measured slower, try only the column's roots modulo a prime
+    above 2H. Every candidate is verified in exact integer arithmetic. The
+    attached reference magnitude is reported for context only, and is None for
+    n < 2, for H < 3 and beyond the float range, where math.exp raises or the
+    product rounds to inf.
     """
     terms = _int_terms(F)
     if not terms:
@@ -268,7 +270,7 @@ def integral_points_in_box(F, H: int) -> BoxPointCount:
         raise PreconditionViolated("H must be in 0..10^6")
     n = max(i + j for i, j in terms)
 
-    small = (H + 1) ** 2 <= 10**6
+    small = H < 400
     P = None if small else _next_prime_above(2 * H + 1)
     count = 0
     for x in range(H + 1):
@@ -280,5 +282,10 @@ def integral_points_in_box(F, H: int) -> BoxPointCount:
     reference = None
     if n >= 2 and H >= 3:
         h_root = H ** (1.0 / n)
-        reference = h_root * math.exp(12 * math.sqrt(n * math.log(H) * math.log(math.log(H))))
+        try:
+            reference = h_root * math.exp(12 * math.sqrt(n * math.log(H) * math.log(math.log(H))))
+        except OverflowError:
+            pass
+        if reference == math.inf:
+            reference = None
     return BoxPointCount(count, n, h_root, reference)

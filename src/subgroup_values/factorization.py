@@ -123,8 +123,6 @@ def _u_edf(ctx, f, d, rng):
     q = ctx.q
     while True:
         a = _u_random_poly(ctx, rng, n - 1)
-        if len(a) - 1 < 1:
-            continue
         if ctx.p == 2:
             # trace map over F_{2^(t*d)}
             m = ctx.t * d
@@ -155,8 +153,6 @@ def _u_factor(ctx, f):
         raise ZeroPolynomial("cannot factor the zero polynomial")
     unit = f[-1]
     fm = _umonic(ctx, f)
-    if len(fm) - 1 == 0:
-        return unit, []
     rng = random.Random(0)
     pairs = []
     for part, mult in _u_sqfree(ctx, fm):
@@ -474,7 +470,7 @@ def _good_point(F: BiPoly):
         if ctx.raw_key(x0) > last:
             break
         d = _uderiv(ctx, fiber)
-        if d and len(_ugcd(ctx, fiber, d)) == 1:
+        if len(_ugcd(ctx, fiber, d)) == 1:
             return x0
     return None
 
@@ -627,7 +623,7 @@ def _validate_bivariate_input(F: BiPoly):
     if F.is_zero():
         raise ZeroPolynomial("zero polynomial")
     td = F.total_degree
-    if not isinstance(td, int) or not 1 <= td <= 8:
+    if not 1 <= td <= 8:
         raise DegreeOutOfRange(f"total degree must be in 1..8, got {td}")
     if F.ctx.p <= td:
         raise CharTooSmall(f"need p > total degree, got p = {F.ctx.p}, degree {td}")
@@ -735,13 +731,8 @@ def perfect_power_exponent(psi: RationalFunc) -> int:
     if psi.is_constant():
         raise ConstantFunction("constant functions have no power exponent")
     ctx = psi.ctx
-    exps = []
-    for poly in (psi.num, psi.den):
-        if isinstance(poly.degree, int) and poly.degree >= 1:
-            for _, mult in _u_sqfree(ctx, _umonic(ctx, list(poly.coeffs))):
-                exps.append(mult)
-    n = math.gcd(*exps) if exps else 1
-    return max(n, 1)
+    return math.gcd(*(mult for poly in (psi.num, psi.den)
+                      for _, mult in _u_sqfree(ctx, _umonic(ctx, list(poly.coeffs)))))
 
 
 def extract_power_root(psi: RationalFunc, n: int) -> RationalFunc:
@@ -786,3 +777,14 @@ def extract_power_root(psi: RationalFunc, n: int) -> RationalFunc:
     raise DegreeTooLarge(
         f"no degree-{n} root of the leading coefficient within the extension cap"
     )
+
+
+def reduce_perfect_power(psi: RationalFunc, T: int):
+    """Rewrite a perfect power ψ = φ^n as (φ, n T): membership of ψ(x) in a
+    subgroup of order T forces φ(x) into one of order at most n T."""
+    if psi.is_constant():
+        return psi, T
+    n = perfect_power_exponent(psi)
+    if n == 1:
+        return psi, T
+    return extract_power_root(psi, n), n * T

@@ -57,7 +57,7 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p: int) -> None:
-    if not isinstance(p, int) or p < 2 or not is_prime(p):
+    if not isinstance(p, int) or not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p >= PRIME_LIMIT:
         raise PrimeTooLarge(f"p = {p} exceeds the 2^32 desk-scale cap")

@@ -340,7 +340,7 @@ def exceptional_lambdas(psi: RationalFunc, p: int | None = None, max_ext: int = 
     if p is not None and p != ctx.p:
         raise BadRange("explicit p disagrees with ψ's field")
     D = psi.D
-    if not isinstance(D, int) or D < 2:
+    if D < 2:
         raise DegreeTooSmall(f"deg ψ = {D}; the scan needs degree >= 2")
     if not 1 <= max_ext <= D:
         raise BadRange(f"max_ext must be in 1..{D}, got {max_ext}")
@@ -382,7 +382,7 @@ def exceptional_lambdas(psi: RationalFunc, p: int | None = None, max_ext: int = 
         else:
             lams = _sieve(ctx_t, _new_elements(ctx.p, t), ratios, table, need_point)
         for raw in lams:
-            sym = first if t == 1 and raw == 1 else build_sym_poly(psi, FieldElem(ctx_t, raw))
+            sym = first if raw == 1 else build_sym_poly(psi, FieldElem(ctx_t, raw))
             verdict = is_absolutely_irreducible(sym)
             if verdict.absolutely:
                 continue

@@ -219,7 +219,6 @@ def _enumerate_ball(cols, d, lam, linf_bound: int):
             else:
                 partial[level] = vec
                 go(level - 1, used + (z * dl + N) ** 2 * scale[level], top and z == 0)
-        coeffs[level] = 0
 
     go(r - 1, 0, True)
     return out

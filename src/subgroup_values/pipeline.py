@@ -39,7 +39,7 @@ from .errors import (
     WindowEmpty,
     ZeroLambda,
 )
-from .factorization import extract_power_root, perfect_power_exponent
+from .factorization import perfect_power_exponent, reduce_perfect_power  # noqa: F401
 from .fields import signed_residue
 from .lambda_scan import build_sym_poly, exceptional_lambdas
 from .lattices import MAX_ENUM_DIM, SmallResidueInstance, find_small_residue_multiplier
@@ -183,17 +183,6 @@ def value_count_bound(exp: ExponentSet, p: int, H: int, T: int) -> float:
     )
 
 
-def reduce_perfect_power(psi: RationalFunc, T: int):
-    """Rewrite a perfect power ψ = φ^n as (φ, n T): membership of ψ(x) in a
-    subgroup of order T forces φ(x) into one of order at most n T."""
-    if psi.is_constant():
-        return psi, T
-    n = perfect_power_exponent(psi)
-    if n == 1:
-        return psi, T
-    return extract_power_root(psi, n), n * T
-
-
 class ProofTrace(NamedTuple):
     p: int
     psi: RationalFunc
@@ -235,7 +224,7 @@ def trace_proof(psi: RationalFunc, p: int, H: int, T: int, exceptional=None) -> 
     """
     if psi.ctx.p != p or psi.ctx.t != 1:
         raise PreconditionViolated("ψ must live over F_p")
-    if psi.is_constant() or psi.num.is_zero():
+    if psi.is_constant():
         raise DegenerateDegrees("ψ must be nonconstant")
     if perfect_power_exponent(psi) != 1:
         raise PerfectPowerInput(f"ψ = {psi.text()} is a perfect power")

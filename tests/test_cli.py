@@ -367,3 +367,17 @@ def test_main_exits_with_the_dispatch_code_and_prints_its_bytes(monkeypatch, cap
         cli.main()
     assert exc.value.code == code
     assert capsys.readouterr() == want
+
+
+# exp raises past the float range for the first two; for x^351+y at H = 304
+# exp stays finite and the product with H^(1/n) rounds to inf
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("poly, H", [("x^1100+y", 20), ("x^263+y", 1000), ("x^351+y", 304)])
+def test_points_reports_a_reference_beyond_the_float_range_as_absent(capsys, poly, H, fmt):
+    assert cmd_dispatch(["points", "--poly", poly, "--H", str(H), "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if fmt == "json":
+        assert json.loads(out)["reference"] is None
+    else:
+        assert out.endswith("reference = \n")

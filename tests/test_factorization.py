@@ -203,6 +203,11 @@ def test_is_irreducible_bivariate_validation():
         is_irreducible_bivariate(B(F5, {(5, 0): 1, (0, 1): 1}))
 
 
+def test_is_irreducible_bivariate_accepts_total_degree_eight():
+    # Y + X^8 over F_11: the largest total degree the validation admits
+    assert is_irreducible_bivariate(B(FieldCtx(11), {(8, 0): 1, (0, 1): 1}))
+
+
 def test_bivariate_refusals():
     with pytest.raises(ZeroPolynomial):
         find_proper_factor(B(F7, {}))

@@ -107,6 +107,12 @@ def test_ext_field_build_errors():
         ext_field_build(5, 13)
 
 
+def test_check_prime_refuses_a_float_equal_to_a_prime():
+    # 7.0 % 7 == 0 and 7.0 == 7, so is_prime(7.0) is True: the type test refuses it
+    with pytest.raises(NotPrime):
+        check_prime(7.0)
+
+
 def test_ext_field_build_deterministic():
     a = ext_field_build(7, 3)
     b = ext_field_build(7, 3)

@@ -46,12 +46,14 @@ def _differences(a, b) -> int:
 def test_each_operator_makes_its_mutants_of_the_named_function_alone():
     found = probe.mutants(SOURCE, ("check",))
     # compare: <, >=, ==; constant: -1 and 3, each -1 and +1 (the 1 in the
-    # raise is a message); boolop: or; raise: the guarded one; true: check
+    # raise is a message); boolop: or; clause: either operand of the or;
+    # raise: the guarded one; true: check
     assert Counter(m.operator for m in found) == {
-        "compare": 3, "constant": 4, "boolop": 1, "raise": 1, "true": 1,
+        "compare": 3, "constant": 4, "boolop": 1, "clause": 2, "raise": 1, "true": 1,
     }
     assert {m.change for m in found if m.operator != "constant"} == {
-        "λ <= -1", "y > 3", "λ != y", "λ < -1 and y >= 3", "raise removed", "return True",
+        "λ <= -1", "y > 3", "λ != y", "λ < -1 and y >= 3", "λ < -1", "y >= 3", "raise removed",
+        "return True",
     }
     assert sorted(m.change for m in found if m.operator == "constant") == ["-2", "0", "2", "4"]
     assert [m.line for m in found] == sorted(m.line for m in found)
@@ -61,6 +63,14 @@ def test_each_operator_makes_its_mutants_of_the_named_function_alone():
         assert _differences(original, mutated) == 1, m
         # the untargeted function is left as it was
         assert ast.dump(mutated.body[1]) == ast.dump(original.body[1])
+
+
+def test_clause_deletes_each_operand_of_a_longer_chain_once():
+    found = probe.mutants("def f(a, b, c):\n    return a or b and c or not a\n", ("f",))
+    # three operands of the or, two of the and
+    assert sorted(m.change for m in found if m.operator == "clause") == [
+        "a or (b and c)", "a or not a", "b", "b and c or not a", "c",
+    ]
 
 
 def test_every_target_is_found_and_generating_writes_nothing_under_src():

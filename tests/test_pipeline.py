@@ -247,6 +247,22 @@ def test_trace_proof_lambda_exhaustion():
         trace_proof(psi, 31, 3, 2, exceptional={1, 30})
 
 
+def test_lambda_exhaustion_counts_only_the_exceptional_values_in_g():
+    # 2 is outside {1, 30}, so {1, 2, 30} still leaves no λ in G
+    psi = parse_rational_expr("x^2+x", 31)
+    with pytest.raises(LambdaSetExhausted):
+        trace_proof(psi, 31, 3, 2, exceptional={1, 2, 30})
+
+
+def test_trace_integer_identity_holds_only_nonzero_terms():
+    # the denominator x^2 + 1 has a zero coefficient, so F and G have two
+    # terms each, not three
+    tr = trace_proof(parse_rational_expr("1/(x^2+1)", 31), 31, 3, 5)
+    assert sorted(tr.F_int) == [(0, 0), (0, 2)]
+    assert sorted(tr.G_int) == [(0, 0), (2, 0)]
+    assert all(tr.F_int.values()) and all(tr.G_int.values())
+
+
 def test_standard_sweep_shape_and_determinism():
     cells = standard_sweep_cells()
     assert len(cells) == 360
